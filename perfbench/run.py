@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the repository benchmark.
 
-    python3 perfbench/run.py --workload <iter_dram|serve_mixed|paper_suite> \
+    python3 perfbench/run.py --workload <iter_dram|serve_mixed|serve_light|paper_suite> \
         --seed <n> --seconds <s> --trace <0|1>
     python3 perfbench/run.py --selftest
 
@@ -22,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("iter_dram", "serve_mixed", "paper_suite")
+WORKLOADS = ("iter_dram", "serve_mixed", "serve_light", "paper_suite")
 RUN_TIMEOUT_S = 170  # one run must end within 180 s once built
 
 

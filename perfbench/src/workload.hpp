@@ -25,6 +25,10 @@ class Workload {
   /// Threads this workload keeps busy at once (recorded with the host).
   [[nodiscard]] virtual int busy_threads() const = 0;
 
+  /// Set-ups in one untraced run; set-up time is their median. Fewer for a
+  /// workload whose set-up takes a large share of the run.
+  [[nodiscard]] virtual int setups() const { return 5; }
+
   /// Builds inputs, oracles and warm state from the seed, dropping any
   /// previous state first. Everything here counts as set-up time.
   virtual void setup() = 0;
@@ -48,6 +52,7 @@ class Workload {
 
 [[nodiscard]] std::unique_ptr<Workload> make_iter_dram(const RunContext& ctx);
 [[nodiscard]] std::unique_ptr<Workload> make_serve_mixed(const RunContext& ctx);
+[[nodiscard]] std::unique_ptr<Workload> make_serve_light(const RunContext& ctx);
 [[nodiscard]] std::unique_ptr<Workload> make_paper_suite(const RunContext& ctx);
 
 /// Deterministic input fill of `n` floats in [-1, 1).
