@@ -494,13 +494,13 @@ std::vector<Candidate> AutoTuner::ranked_locked(const SimJob& job, int workers,
   std::vector<int> shard_counts{0};
   if (allow_shards && config().devices > 1) shard_counts.push_back(config().devices);
 
+  // Relaunch runs on one pool whatever the shard count, so it is one
+  // candidate, not one per shard count.
   std::vector<Candidate> out;
+  Schedule relaunch = base;
+  relaunch.policy = IterationPolicy::kRelaunch;
+  out.push_back({relaunch, model_.predict_ms(job, relaunch, workers)});
   for (int shards : shard_counts) {
-    Schedule s = base;
-    s.policy = IterationPolicy::kRelaunch;
-    s.tiles = 0;
-    s.shards = shards;
-    out.push_back({s, model_.predict_ms(job, s, workers)});
     for (int tiles : tile_counts) {
       Schedule sp = base;
       sp.policy = IterationPolicy::kPersistent;

@@ -6,9 +6,11 @@
 // S1(S0(in))). The staged reference runs one full-grid launch per stage and
 // round-trips every intermediate through a global-sized array — exactly the
 // traffic the systolic model exists to eliminate. `run_chain2d` instead
-// *compiles* the chain into one persistent run: the domain is decomposed
-// into resident band tiles (core/shard.hpp) and sweep s of every tile
-// applies stage s, so stage N's tile output feeds stage N+1 in-resident.
+// builds one band program (core/iterate_persistent.hpp) whose sweep s runs
+// stage s, so the engine compiles the chain into one persistent run: the
+// domain is decomposed into resident band tiles (core/shard.hpp) and stage
+// N's tile output feeds stage N+1 in-resident. An iterative run is the
+// special case of k identical stages; both go through the same engine.
 // Inter-stage boundary flow rides the same zero-copy epoch-counted halo
 // channels the engine uses for spatial halos — epoch s of a channel carries
 // the stage-(s-1) output boundary, and the band layout's halo region is
@@ -18,8 +20,8 @@
 // launch, not k, and the only global-array traffic is reading `in` once
 // (fused first sweep) and writing `out` once (fused last sweep). Chains
 // never alias input and output, so both boundary sweeps fuse at any depth
-// — the iteration engine's sweeps >= 3 restriction exists only because
-// iteration reads and writes the same array.
+// — the band program needs >= 3 sweeps for a fused first sweep only when
+// its source and destination are the same array, as in iteration.
 //
 // Stage vocabulary (all lowered onto the unmodified SSAM kernel bodies):
 //  * linear stencil — one tap set, optionally temporally blocked (t fused
@@ -118,12 +120,13 @@ template <typename T>
   return {build_plan(a), build_plan(b)};
 }
 
-/// The plan governing a stage's geometry and halo reach (dual: the padded
-/// primary — both padded plans share extents by construction).
+/// A stage's plans, built once per run: the padded pair of a dual stage,
+/// else the stage's plan in `first` (and an empty `second`).
 template <typename T>
-[[nodiscard]] SystolicPlan<T> chain_stage_plan(const ChainStage<T>& st) {
-  if (st.dual()) return dual_plans(st).first;
-  return build_plan(st.shape.taps);
+[[nodiscard]] std::pair<SystolicPlan<T>, SystolicPlan<T>> chain_stage_plans(
+    const ChainStage<T>& st) {
+  if (st.dual()) return dual_plans(st);
+  return {build_plan(st.shape.taps), {}};
 }
 
 template <typename T>
@@ -194,53 +197,38 @@ template <typename T>
   };
 }
 
-/// A stage lowered against concrete input/output views: its launch config
-/// plus the bound body. `band` >= 0 shrinks the launch to a band of rows
-/// (`cfg.grid.y = ceil(band / p)`); -1 keeps the full-grid geometry.
-struct Chain2dStageKernel {
-  sim::LaunchConfig cfg;
-  std::function<void(sim::FunctionalBlockContext&)> body;
-};
-
-template <typename T>
-[[nodiscard]] Chain2dStageKernel make_chain2d_stage_kernel(
-    const ChainStage<T>& st, GridView2D<const T> in, GridView2D<T> out, Index row_origin,
-    Index store_off, Index band, int p, int block_threads) {
-  Chain2dStageKernel k;
-  auto place = [&](Stencil2dSetup& s) {
-    s.row_origin = row_origin;
-    s.store_row_offset = store_off;
-    if (band >= 0) s.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
-    k.cfg = s.cfg;
-  };
-  if (st.dual()) {
-    auto [pa, pb] = dual_plans(st);
-    const StencilOptions sopt{p, block_threads};
-    Stencil2dSetup s = stencil2d_setup(in, pa, sopt);
-    place(s);
-    k.body = make_stencil2d_dual_body<T>(s, in, pa.passes.front(), pb.passes.front(),
-                                         st.combine, out);
-    return k;
-  }
-  const SystolicPlan<T> plan = build_plan(st.shape.taps);
-  if (st.t == 1) {
-    const StencilOptions sopt{p, block_threads};
-    Stencil2dSetup s = stencil2d_setup(in, plan, sopt);
-    place(s);
-    k.body = make_stencil2d_body<T>(s, in, plan.passes.front(), out);
-    return k;
-  }
-  const TemporalSsamOptions topt{st.t, p, block_threads};
-  Stencil2dSetup s = stencil2d_temporal_setup(in, plan, topt);
-  place(s);
-  k.body = make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), st.t,
-                                           plan.rows_halo(), out);
-  return k;
-}
-
 template <typename T>
 void chain_apply_map(T* p, Index n, const std::function<T(T)>& fn) {
   for (Index i = 0; i < n; ++i) p[i] = fn(p[i]);
+}
+
+/// Stage `st` (with its prebuilt `plans`) lowered at `pl`: its SSAM body
+/// plus its map as the sweep epilogue over the produced band.
+template <typename T>
+[[nodiscard]] BandSweep chain2d_sweep(const ChainStage<T>& st,
+                                      const std::pair<SystolicPlan<T>, SystolicPlan<T>>& plans,
+                                      Index w, int p, int block_threads,
+                                      const SweepPlace<T>& pl) {
+  BandSweep sw;
+  if (st.dual()) {
+    const GridView2D<const T> in(pl.in, w, pl.in_units, w);
+    const GridView2D<T> out(pl.out, w, pl.origin + pl.store_off + pl.band, w);
+    Stencil2dSetup s = stencil2d_setup(in, plans.first, StencilOptions{p, block_threads});
+    s.row_origin = pl.origin;
+    s.store_row_offset = pl.store_off;
+    s.cfg.grid.y = static_cast<int>(ceil_div(pl.band, static_cast<Index>(p)));
+    sw.cfg = s.cfg;
+    sw.body = make_stencil2d_dual_body<T>(s, in, plans.first.passes.front(),
+                                          plans.second.passes.front(), st.combine, out);
+  } else {
+    sw = stencil2d_sweep(plans.first, st.t, p, block_threads, w, pl);
+  }
+  if (st.map) {
+    sw.epilogue = [base = pl.out_band(w), n = pl.band * w, fn = st.map] {
+      chain_apply_map(base, n, fn);
+    };
+  }
+  return sw;
 }
 
 }  // namespace detail
@@ -260,184 +248,41 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
                                Grid2D<T>& out, const std::vector<ChainStage<T>>& stages,
                                const PersistentOptions& opt = {},
                                sim::PersistentWorkspace* ws = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
   SSAM_REQUIRE(!stages.empty(), "empty chain");
   SSAM_REQUIRE(in.width() == out.width() && in.height() == out.height(),
                "chain input/output grids must match");
   SSAM_REQUIRE(in.data() != out.data(), "chain input and output must be distinct grids");
-  SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
-               "a device-pinned run cannot also be sharded");
   for (const ChainStage<T>& st : stages) detail::validate_chain_stage(st);
   const int k = static_cast<int>(stages.size());
   const Index w = in.width();
-  const Index h = in.height();
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
 
-  PersistentRunStats r;
-  r.sweeps = k;
-  r.t = 1;
-
+  detail::BandProgram<T> prog;
+  prog.engine = "run_chain2d";
+  prog.units = in.height();
+  prog.unit_elems = w;
   // Uniform band-layout halo: the deepest reach on each side across the
   // stages. Every exchange carries the full depth; a shallower stage reads
   // its smaller window from the filled region.
-  Index ht = 0;
-  Index hb = 0;
+  std::vector<std::pair<SystolicPlan<T>, SystolicPlan<T>>> plans;
+  plans.reserve(stages.size());
   for (const ChainStage<T>& st : stages) {
-    const SystolicPlan<T> plan = detail::chain_stage_plan(st);
-    ht = std::max<Index>(ht, static_cast<Index>(-st.t * plan.dy_min));
-    hb = std::max<Index>(hb, static_cast<Index>(st.t * plan.dy_max));
+    plans.push_back(detail::chain_stage_plans(st));
+    const SystolicPlan<T>& plan = plans.back().first;
+    prog.ht = std::max<Index>(prog.ht, static_cast<Index>(-st.t * plan.dy_min));
+    prog.hb = std::max<Index>(prog.hb, static_cast<Index>(st.t * plan.dy_max));
   }
-  const Index min_band = std::max<Index>({ht, hb, 1});
-
-  const bool fused = k >= 2 && detail::choose_persistent(opt.policy, k);
-  if (!fused) {
-    // Staged path: one launch per stage, intermediates ping-ponged through
-    // the workspace scratch block. Also the depth-1 "chain": a single
-    // launch straight from `in` to `out`.
-    r.tiles = 1;
-    detail::log_policy_decision("run_chain2d", opt.policy, r);
-    const int dev = opt.device != nullptr ? opt.device->index() : -1;
-    T* ping = nullptr;
-    T* pong = nullptr;
-    if (k >= 2) {
-      sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-      const std::size_t gbytes = static_cast<std::size_t>(w * h) * sizeof(T);
-      const std::size_t stride = (gbytes + 63) / 64 * 64;
-      std::byte* p = wsp.scratch(stride + gbytes);
-      ping = reinterpret_cast<T*>(p);
-      pong = reinterpret_cast<T*>(p + stride);
-    }
-    GridView2D<const T> cur = in.cview();
-    for (int s = 0; s < k; ++s) {
-      detail::relaunch_sweep_gate(opt.cancel, dev);
-      T* dst = s == k - 1 ? out.data() : (s % 2 == 0 ? ping : pong);
-      const GridView2D<T> out_v(dst, w, h, w);
-      detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
-          stages[static_cast<std::size_t>(s)], cur, out_v, 0, 0, -1, opt.p,
-          opt.block_threads);
-      sim::detail::run_functional_grid_on(lane, arch, kk.cfg, kk.body);
-      if (opt.device != nullptr) {
-        opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (stages[static_cast<std::size_t>(s)].map) {
-        detail::chain_apply_map(dst, w * h, stages[static_cast<std::size_t>(s)].map);
-      }
-      cur = GridView2D<const T>(dst, w, h, w);
-    }
-    return r;
-  }
-
-  detail::BandLayoutRequest req;
-  req.units = h;
-  req.unit_elems = w;
-  req.elem_bytes = sizeof(T);
-  req.ht = ht;
-  req.hb = hb;
-  req.align = static_cast<Index>(opt.p);
-  req.min_band = min_band;
-  req.want_tiles = opt.tiles;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
-  detail::log_policy_decision("run_chain2d", opt.policy, r);
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index y0 = L.starts[static_cast<std::size_t>(i)];
-    const Index band = L.starts[static_cast<std::size_t>(i) + 1] - y0;
-    const Index buf_rows = ht + band + hb;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = in.data();
-    wr.dst = out.data();
-    wr.unit_elems = w;
-    wr.band = band;
-    wr.ht = ht;
-    wr.hb = hb;
-    wr.u0 = y0;
-    wr.sweeps = k;
-    T* ba = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    T* bb = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    wr.buf_a = ba;
-    wr.buf_b = bb;
-    if (i > 0) {
-      wr.in_lo = &L.chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &L.chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &L.chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &L.chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
-    wr.control = &ctl;
-
-    // Sweep s reads epoch s (buffer s % 2) and writes epoch s + 1 (the
-    // other buffer); the first sweep reads the global input and the last
-    // stores to the global output, both fused (src != dst).
-    const GridView2D<const T> in_a(ba, w, buf_rows, w);
-    const GridView2D<const T> in_b(bb, w, buf_rows, w);
-    const GridView2D<T> out_a(ba, w, ht + band, w);
-    const GridView2D<T> out_b(bb, w, ht + band, w);
-    const GridView2D<T> out_global(out.data(), w, y0 + band, w);
-    wr.chain.reserve(static_cast<std::size_t>(k));
-    for (int s = 0; s < k; ++s) {
-      const bool first = s == 0;
-      const bool last = s == k - 1;
-      const GridView2D<const T> in_v = first ? in.cview() : (s % 2 == 0 ? in_a : in_b);
-      const GridView2D<T> out_v =
-          last ? out_global : ((s + 1) % 2 == 0 ? out_a : out_b);
-      const Index origin = first ? y0 : ht;
-      const Index soff = first ? ht - y0 : (last ? y0 - ht : 0);
-      detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
-          stages[static_cast<std::size_t>(s)], in_v, out_v, origin, soff, band, opt.p,
-          opt.block_threads);
-      typename detail::ResidentBandTile<T>::ChainSweep cs;
-      cs.cfg = kk.cfg;
-      cs.body = std::move(kk.body);
-      if (stages[static_cast<std::size_t>(s)].map) {
-        T* base = last ? out.data() + y0 * w
-                       : ((s + 1) % 2 == 0 ? ba : bb) + ht * w;
-        cs.epilogue = [base, n = band * w,
-                       fn = stages[static_cast<std::size_t>(s)].map] {
-          detail::chain_apply_map(base, n, fn);
-        };
-      }
-      wr.chain.push_back(std::move(cs));
-    }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
-  return r;
+  prog.align = static_cast<Index>(opt.p);
+  prog.min_band = std::max<Index>({prog.ht, prog.hb, 1});
+  prog.src = in.data();
+  prog.dst = out.data();
+  prog.sweeps = k;
+  prog.stages = k;
+  prog.make = [&](int s, const detail::SweepPlace<T>& pl) {
+    const auto i = static_cast<std::size_t>(s);
+    return detail::chain2d_sweep(stages[i], plans[i], w, opt.p, opt.block_threads, pl);
+  };
+  return detail::run_program(arch, prog, opt, k >= 2 && detail::choose_persistent(opt.policy, k),
+                             ws);
 }
 
 /// DAG front end for chain construction: nodes are whole kernels, edges

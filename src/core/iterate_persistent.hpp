@@ -26,6 +26,17 @@
 // exchange carries t*r halo units and each sweep advances t fused steps in
 // registers, exactly like the temporal kernels the per-step path launches.
 //
+// One engine serves every band workload. A `BandProgram` names the unit
+// axis, the halo depths, the global arrays, the sweep count, and a `make`
+// callback that lowers a stage at a given place (which arrays, which
+// origin). An iterative run of `steps` sweeps is a chain of `steps`
+// identical stages, so 2D iteration, 3D iteration, and stencil chains
+// (core/chain.hpp) are all just builders of that program. `run_program`
+// runs it either as resident band tiles on one pool or a device group
+// (persistent), or as one full-grid launch per sweep on one pool
+// (relaunch); sharding places persistent tiles only and never changes
+// results.
+//
 // An optional element-wise post hook runs over the band after each sweep
 // (before the boundary is published), with an optional second resident
 // field — enough for two-field updates like the acoustic wave equation
@@ -61,7 +72,9 @@ namespace ssam::core {
 
 struct PersistentOptions {
   IterationPolicy policy = IterationPolicy::kAuto;
-  ShardPolicy shard;      ///< single pool, or sharded across virtual devices
+  /// Single pool, or the persistent tiles sharded across virtual devices.
+  /// Relaunch runs always execute on one pool.
+  ShardPolicy shard;
   int tiles = 0;  ///< 0: auto (residence-sized bands, >= 2 per worker)
   int t = 1;      ///< fused time steps per sweep (temporal blocking)
   int p = 4;              ///< sliding-window outputs per thread
@@ -172,50 +185,120 @@ inline void relaunch_sweep_gate(const CancelToken& cancel, int device) {
   if (fi.enabled()) fi.maybe_throw(FaultSite::kKernelSweep, device, "relaunch sweep");
 }
 
+/// One lowered sweep: launch geometry, the bound SSAM body, and an optional
+/// fully bound element-wise epilogue over the band the sweep just produced
+/// (a post hook or a chain stage's map). A tile runs the epilogue before it
+/// publishes the boundary, so consumers always see post-epilogue state —
+/// what the relaunch path's full-grid epilogue leaves in the global array.
+struct BandSweep {
+  sim::LaunchConfig cfg;
+  std::function<void(sim::FunctionalBlockContext&)> body;
+  std::function<void()> epilogue;
+};
+
+/// Where one sweep reads and writes, in units of the band axis (rows or
+/// z-planes). `in` and `out` are whole arrays — a tile's residence buffer or
+/// a global grid — of `in_units` and `out_units` units. The sweep computes
+/// the `band` units that start at unit `origin` of `in` and stores them from
+/// unit `origin + store_off` of `out`. `aux` is the aux field at the band's
+/// first unit (null: no aux field).
+template <typename T>
+struct SweepPlace {
+  const T* in = nullptr;
+  Index in_units = 0;
+  T* out = nullptr;
+  Index out_units = 0;
+  Index origin = 0;
+  Index store_off = 0;
+  Index band = 0;
+  T* aux = nullptr;
+
+  [[nodiscard]] const T* in_band(Index unit_elems) const { return in + origin * unit_elems; }
+  [[nodiscard]] T* out_band(Index unit_elems) const {
+    return out + (origin + store_off) * unit_elems;
+  }
+};
+
+/// Everything the engine needs to run `sweeps` band sweeps over one domain
+/// under either policy. Builders fill it in; the engine never sees a kernel
+/// type. `make(stage, place)` lowers one stage at one place. The engine
+/// calls it a bounded number of times per tile — at most 4 when every sweep
+/// runs the same stage, once per stage otherwise — never once per sweep.
+template <typename T>
+struct BandProgram {
+  /// Roles of a sweep in a tile: 0/1 read residence buffer 0/1 and write
+  /// the other; kFirst reads `src`, kLast stores to `dst`.
+  static constexpr int kFirst = 2;
+  static constexpr int kLast = 3;
+
+  const char* engine = "";  ///< name in the policy-decision log line
+  Index units = 0;          ///< units on the band axis
+  Index unit_elems = 0;     ///< elements per unit (row width or plane size)
+  Index ht = 0;             ///< halo units above each band (deepest stage)
+  Index hb = 0;             ///< halo units below
+  Index align = 1;          ///< preferred band multiple
+  Index min_band = 1;       ///< smallest band that can source a halo
+  const T* src = nullptr;   ///< initial state (full array)
+  T* dst = nullptr;         ///< final state target (full array; may alias src)
+  T* aux = nullptr;         ///< optional aux field kept resident (full array)
+  /// Relaunch ping/pong arrays; null: carved from the workspace scratch.
+  std::array<T*, 2> relay{};
+  int sweeps = 0;
+  int stages = 1;         ///< 1: every sweep runs stage 0; else sweep s runs stage s
+  int t = 1;              ///< fused steps per sweep (reported in the stats)
+  bool fuse_ends = true;  ///< false: staged load/drain (epilogues need residence)
+  std::function<BandSweep(int, const SweepPlace<T>&)> make;
+
+  /// The first sweep reads `src` directly, skipping the staged load. When
+  /// src aliases dst this needs >= 3 sweeps: channel backpressure then
+  /// orders every tile's fused read of the array before any neighbour's
+  /// fused final store to it.
+  [[nodiscard]] bool fused_first() const {
+    return fuse_ends && sweeps >= (src == dst ? 3 : 2);
+  }
+  /// The last sweep stores straight to `dst`, skipping the staged drain.
+  [[nodiscard]] bool fused_last() const { return fuse_ends && sweeps >= 1; }
+
+  [[nodiscard]] int role(int s) const {
+    if (s == 0 && fused_first()) return kFirst;
+    if (s == sweeps - 1 && fused_last()) return kLast;
+    return s % 2;
+  }
+  [[nodiscard]] int stage(int s) const { return stages == 1 ? 0 : s; }
+  /// Index of sweep s in a tile's sweep table.
+  [[nodiscard]] int entry(int s) const { return stages == 1 ? role(s) : s; }
+  [[nodiscard]] int table_size() const { return stages == 1 ? 4 : sweeps; }
+
+  /// Calls f(s) for sweeps that between them cover every distinct
+  /// (stage, role) of a tile and every distinct (stage, input, output) of a
+  /// relaunch run: {0, 1, 2, last} when every sweep runs one stage.
+  template <typename F>
+  void for_each_distinct_sweep(F&& f) const {
+    if (stages > 1) {
+      for (int s = 0; s < sweeps; ++s) f(s);
+      return;
+    }
+    for (int s : {0, 1, 2}) {
+      if (s < sweeps) f(s);
+    }
+    if (sweeps > 3) f(sweeps - 1);
+  }
+};
+
 /// One resident band tile: the dimension-agnostic state machine. A `unit`
-/// is one contiguous row (2D) or plane (3D) of `unit_elems` elements; the
-/// residence buffers hold ht + band + hb units, the band starting at unit
-/// ht. The sweep bodies and the post hook are injected by the engine.
+/// is one contiguous row (2D) or plane (3D); the residence buffers hold
+/// ht + band + hb units, the band starting at unit ht. Sweep s runs
+/// `table[prog->entry(s)]`; the engine only wires tiles of runs with at
+/// least one sweep.
 template <typename T>
 class ResidentBandTile final : public sim::PersistentTask {
  public:
-  /// One stage of a fused chain run (core/chain.hpp): its own launch
-  /// geometry and body (stages differ in span/halo, so neither is shared),
-  /// plus an optional fully-bound element-wise epilogue over the stage's
-  /// output band. The epilogue runs before the boundary is published so
-  /// consumers always see post-map state — the staged reference maps the
-  /// whole intermediate grid before the next stage reads it.
-  struct ChainSweep {
-    sim::LaunchConfig cfg;
-    std::function<void(sim::FunctionalBlockContext&)> body;
-    std::function<void()> epilogue;
-  };
-
   struct Wiring {
+    const BandProgram<T>* prog = nullptr;
     const sim::ArchSpec* arch = nullptr;
-    sim::LaunchConfig cfg;
-    /// sweep[0] reads buf_a and writes buf_b; sweep[1] the reverse.
-    std::function<void(sim::FunctionalBlockContext&)> sweep[2];
-    /// Fused boundary sweeps: `first` reads the global array and writes
-    /// buf_b (skips the staged load; engine sets it only when sweeps >= 3,
-    /// which the channel backpressure needs to order the fused final store
-    /// after every neighbour's fused global read); `last` reads
-    /// buf_[(sweeps-1) % 2] and stores straight to the global array.
-    /// Either may be empty: the staged kLoad/kDrain copies take over.
-    std::function<void(sim::FunctionalBlockContext&)> sweep_first;
-    std::function<void(sim::FunctionalBlockContext&)> sweep_last;
-    /// Optional element-wise hook over the band (next, cur, aux pointers to
-    /// the first band unit); null aux when no aux field is resident.
-    std::function<void(T*, const T*, T*)> post;
-    const T* src = nullptr;  ///< initial state (full array)
-    T* dst = nullptr;        ///< final state target (full array)
-    T* aux_global = nullptr; ///< optional aux field (full array)
-    Index unit_elems = 0;
+    std::vector<BandSweep> table;
     Index band = 0;  ///< units owned by this tile
-    Index ht = 0;    ///< halo units above (toward unit 0)
-    Index hb = 0;    ///< halo units below
     Index u0 = 0;    ///< first band unit in the global arrays
-    int sweeps = 0;
     T* buf_a = nullptr;
     T* buf_b = nullptr;
     T* aux_res = nullptr;
@@ -232,59 +315,38 @@ class ResidentBandTile final : public sim::PersistentTask {
     /// The run's shared abort state (cancellation + fault injection); the
     /// engine wires every tile of a run to the same object.
     RunControl* control = nullptr;
-    /// Chain mode (non-empty): sweep s runs chain[s] instead of the
-    /// iteration bodies above — stage s's tile output feeds stage s + 1
-    /// through the same epoch-counted channels (epoch s = stage s - 1
-    /// output). Chain runs require src != dst, so the first sweep always
-    /// reads the global input and the last always stores to the global
-    /// output (both ends fused at ANY depth — the sweeps >= 3 restriction
-    /// exists only because iteration aliases src and dst); the staged
-    /// kLoad/kDrain copies and `sweep`/`sweep_first`/`sweep_last` are
-    /// bypassed entirely. `sweeps` must equal chain.size().
-    std::vector<ChainSweep> chain;
   };
 
-  explicit ResidentBandTile(Wiring w) : w_(std::move(w)) {}
+  explicit ResidentBandTile(Wiring w) : w_(std::move(w)), p_(*w_.prog), ue_(p_.unit_elems) {}
 
   [[nodiscard]] bool done() const override { return state_ == State::kDone; }
 
   [[nodiscard]] bool try_advance() override {
     switch (state_) {
       case State::kLoad: {
-        if (!w_.chain.empty()) {
-          // Chain mode: the first sweep reads the global input (epoch 0
-          // needs no publication) and nothing else is resident yet.
-          state_ = State::kStep;
-          return true;
-        }
-        if (!w_.sweep_first) {
+        if (!p_.fused_first()) {
           // Staged load: copy the band into residence and publish the
           // initial boundary as epoch 0. (With a fused first sweep the
           // global array itself serves as epoch 0.)
-          copy_units(w_.buf_a + w_.ht * w_.unit_elems, w_.src + w_.u0 * w_.unit_elems,
-                     w_.band);
+          copy_units(w_.buf_a + p_.ht * ue_, p_.src + w_.u0 * ue_, w_.band);
           publish_boundaries(w_.buf_a, 0);
         }
         if (w_.aux_res != nullptr) {
-          copy_units(w_.aux_res, w_.aux_global + w_.u0 * w_.unit_elems, w_.band);
+          copy_units(w_.aux_res, p_.aux + w_.u0 * ue_, w_.band);
         }
-        state_ = w_.sweeps > 0 ? State::kStep : State::kDrain;
+        state_ = State::kStep;
         return true;
       }
       case State::kStep: {
-        const bool chain = !w_.chain.empty();
-        const bool fused_first =
-            s_ == 0 && (chain || static_cast<bool>(w_.sweep_first));
-        const bool fused_last =
-            s_ == w_.sweeps - 1 && (chain || static_cast<bool>(w_.sweep_last));
+        const bool reads_src = s_ == 0 && p_.fused_first();
         // All-or-nothing readiness: input epoch present (unless this sweep
         // reads the global array) and output halo slots free, otherwise
         // yield to another tile.
-        if (!fused_first) {
+        if (!reads_src) {
           if (w_.in_lo != nullptr && !w_.in_lo->available(s_)) return false;
           if (w_.in_hi != nullptr && !w_.in_hi->available(s_)) return false;
         }
-        const bool will_publish = s_ + 1 < w_.sweeps;  // the final boundary
+        const bool will_publish = s_ + 1 < p_.sweeps;  // the final boundary
                                                        // has no consumer
         if (will_publish) {
           if (w_.out_lo != nullptr && !w_.out_lo->can_publish(s_ + 1)) return false;
@@ -294,48 +356,28 @@ class ResidentBandTile final : public sim::PersistentTask {
         // injected fault. Parking here (not throwing — we are on a pool
         // worker) lets the scheduler unwind at a clean sweep boundary.
         if (w_.control != nullptr && w_.control->sweep_gate(will_publish)) return false;
-        if (!fused_first) replicate_domain_edges();
-        if (chain) {
-          const ChainSweep& cs = w_.chain[static_cast<std::size_t>(s_)];
-          sim::run_grid_on_caller(*w_.arch, cs.cfg, cs.body);
-        } else {
-          const auto& body = fused_first ? w_.sweep_first
-                             : fused_last ? w_.sweep_last
-                                          : w_.sweep[flip_];
-          sim::run_grid_on_caller(*w_.arch, w_.cfg, body);
-        }
+        if (!reads_src) replicate_domain_edges();
+        const BandSweep& sw = w_.table[static_cast<std::size_t>(p_.entry(s_))];
+        sim::run_grid_on_caller(*w_.arch, sw.cfg, sw.body);
         if (w_.counters != nullptr) {
           w_.counters->sweeps.fetch_add(1, std::memory_order_relaxed);
         }
         // The consumed halos (epoch s_) free up for epoch s_ + 2.
         if (w_.in_lo != nullptr) w_.in_lo->release(s_);
         if (w_.in_hi != nullptr) w_.in_hi->release(s_);
-        if (chain) {
-          const ChainSweep& cs = w_.chain[static_cast<std::size_t>(s_)];
-          if (cs.epilogue) cs.epilogue();
-        } else if (w_.post) {
-          w_.post(next_buf() + w_.ht * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
-                  w_.aux_res);
-        }
+        if (sw.epilogue) sw.epilogue();
         if (will_publish) publish_boundaries(next_buf(), s_ + 1);
         flip_ ^= 1;
         ++s_;
-        if (s_ == w_.sweeps) state_ = State::kDrain;
+        if (s_ == p_.sweeps) state_ = State::kDrain;
         return true;
       }
       case State::kDrain: {
-        if (!w_.chain.empty()) {
-          // Chain mode: the fused last sweep already stored to the global
-          // output; nothing is staged.
-          state_ = State::kDone;
-          return true;
-        }
-        if (!w_.sweep_last && w_.sweeps > 0) {
-          copy_units(w_.dst + w_.u0 * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
-                     w_.band);
+        if (!p_.fused_last()) {
+          copy_units(p_.dst + w_.u0 * ue_, cur_buf() + p_.ht * ue_, w_.band);
         }
         if (w_.aux_res != nullptr) {
-          copy_units(w_.aux_global + w_.u0 * w_.unit_elems, w_.aux_res, w_.band);
+          copy_units(p_.aux + w_.u0 * ue_, w_.aux_res, w_.band);
         }
         state_ = State::kDone;
         return true;
@@ -353,7 +395,7 @@ class ResidentBandTile final : public sim::PersistentTask {
   [[nodiscard]] T* next_buf() const { return flip_ == 0 ? w_.buf_b : w_.buf_a; }
 
   void copy_units(T* dst, const T* src, Index units) const {
-    std::memcpy(dst, src, static_cast<std::size_t>(units * w_.unit_elems) * sizeof(T));
+    std::memcpy(dst, src, static_cast<std::size_t>(units * ue_) * sizeof(T));
   }
 
   /// Domain-boundary halos (no neighbour tile) replicate the band edge unit
@@ -362,14 +404,13 @@ class ResidentBandTile final : public sim::PersistentTask {
   /// already wrote epoch s_ into this buffer's halo region.
   void replicate_domain_edges() {
     T* buf = cur_buf();
-    const Index ue = w_.unit_elems;
     if (w_.in_lo == nullptr) {
-      for (Index u = 0; u < w_.ht; ++u) copy_units(buf + u * ue, buf + w_.ht * ue, 1);
+      for (Index u = 0; u < p_.ht; ++u) copy_units(buf + u * ue_, buf + p_.ht * ue_, 1);
     }
     if (w_.in_hi == nullptr) {
-      T* below = buf + (w_.ht + w_.band) * ue;
-      const T* edge = buf + (w_.ht + w_.band - 1) * ue;
-      for (Index u = 0; u < w_.hb; ++u) copy_units(below + u * ue, edge, 1);
+      T* below = buf + (p_.ht + w_.band) * ue_;
+      const T* edge = buf + (p_.ht + w_.band - 1) * ue_;
+      for (Index u = 0; u < p_.hb; ++u) copy_units(below + u * ue_, edge, 1);
     }
   }
 
@@ -385,22 +426,23 @@ class ResidentBandTile final : public sim::PersistentTask {
   /// Publishes the boundary of `buf`'s band as epoch `e` — written directly
   /// into the consumer's buffer-(e%2) halo region (zero-copy channels).
   void publish_boundaries(const T* buf, std::int64_t e) {
-    const Index ue = w_.unit_elems;
     if (w_.out_lo != nullptr) {  // my top hb units feed the upper tile's lower halo
-      const std::size_t bytes = static_cast<std::size_t>(w_.hb * ue) * sizeof(T);
-      std::memcpy(w_.out_lo->publish_slot(e), buf + w_.ht * ue, bytes);
+      const std::size_t bytes = static_cast<std::size_t>(p_.hb * ue_) * sizeof(T);
+      std::memcpy(w_.out_lo->publish_slot(e), buf + p_.ht * ue_, bytes);
       w_.out_lo->publish(e);
       note_publish(bytes, w_.seam_lo);
     }
     if (w_.out_hi != nullptr) {  // my bottom ht units feed the lower tile's upper halo
-      const std::size_t bytes = static_cast<std::size_t>(w_.ht * ue) * sizeof(T);
-      std::memcpy(w_.out_hi->publish_slot(e), buf + w_.band * ue, bytes);
+      const std::size_t bytes = static_cast<std::size_t>(p_.ht * ue_) * sizeof(T);
+      std::memcpy(w_.out_hi->publish_slot(e), buf + w_.band * ue_, bytes);
       w_.out_hi->publish(e);
       note_publish(bytes, w_.seam_hi);
     }
   }
 
   Wiring w_;
+  const BandProgram<T>& p_;
+  const Index ue_;
   State state_ = State::kLoad;
   int flip_ = 0;
   int s_ = 0;
@@ -444,6 +486,235 @@ inline void log_policy_decision(const char* engine, IterationPolicy policy,
   log_debug(m);
 }
 
+/// Persistent execution: partitions the band axis into resident tiles (on
+/// one pool, or sharded across a device group), wires every tile's sweep
+/// table and channels, runs the cooperative scheduler, and rethrows any
+/// cancellation or injected fault on the calling thread.
+template <typename T>
+PersistentRunStats run_band_program(const sim::ArchSpec& arch, const BandProgram<T>& prog,
+                                    const PersistentOptions& opt,
+                                    sim::PersistentWorkspace& ws) {
+  BandLayoutRequest req;
+  req.units = prog.units;
+  req.unit_elems = prog.unit_elems;
+  req.elem_bytes = sizeof(T);
+  req.ht = prog.ht;
+  req.hb = prog.hb;
+  req.align = prog.align;
+  req.min_band = prog.min_band;
+  req.want_tiles = opt.tiles;
+  req.has_aux = prog.aux != nullptr;
+  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
+  const BandLayout L = build_band_layout(req, opt.shard, ws);
+  const int tiles = L.tiles();
+  PersistentRunStats r;
+  r.sweeps = prog.sweeps;
+  r.t = prog.t;
+  r.tiles = tiles;
+  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
+  r.sharded = L.sharded();
+  r.persistent = true;
+  log_policy_decision(prog.engine, opt.policy, r);
+  if (prog.sweeps == 0) return r;
+
+  RunControl ctl;
+  ctl.cancel = opt.cancel;
+  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
+  ctl.faults = FaultInjector::global().enabled();
+
+  std::vector<std::unique_ptr<ResidentBandTile<T>>> tile_objs;
+  tile_objs.reserve(static_cast<std::size_t>(tiles));
+  for (int i = 0; i < tiles; ++i) {
+    const auto ti = static_cast<std::size_t>(i);
+    const Index u0 = L.starts[ti];
+    const Index band = L.starts[ti + 1] - u0;
+    const Index buf_units = prog.ht + band + prog.hb;
+    typename ResidentBandTile<T>::Wiring wr;
+    wr.prog = &prog;
+    wr.arch = &arch;
+    wr.band = band;
+    wr.u0 = u0;
+    wr.buf_a = reinterpret_cast<T*>(L.buf_a[ti]);
+    wr.buf_b = reinterpret_cast<T*>(L.buf_b[ti]);
+    if (prog.aux != nullptr) wr.aux_res = reinterpret_cast<T*>(L.aux[ti]);
+    if (i > 0) {
+      wr.in_lo = &L.chans[2 * ti - 2];
+      wr.out_lo = &L.chans[2 * ti - 1];
+      wr.seam_lo = L.seam_after(i - 1);
+    }
+    if (i + 1 < tiles) {
+      wr.out_hi = &L.chans[2 * ti];
+      wr.in_hi = &L.chans[2 * ti + 1];
+      wr.seam_hi = L.seam_after(i);
+    }
+    wr.counters = L.counters_of(i);
+    if (wr.counters == nullptr && opt.device != nullptr) {
+      wr.counters = &opt.device->counters();
+    }
+    wr.control = &ctl;
+
+    // Sweep s reads epoch s from buffer s % 2 and writes epoch s + 1 into
+    // the other; a fused first sweep reads src instead, a fused last sweep
+    // stores to dst.
+    T* const bufs[2] = {wr.buf_a, wr.buf_b};
+    auto place = [&](int s) {
+      const int role = prog.role(s);
+      const bool first = role == BandProgram<T>::kFirst;
+      const bool last = role == BandProgram<T>::kLast;
+      SweepPlace<T> pl;
+      pl.in = first ? prog.src : bufs[s % 2];
+      pl.in_units = first ? prog.units : buf_units;
+      pl.out = last ? prog.dst : bufs[1 - s % 2];
+      pl.out_units = last ? prog.units : buf_units;
+      pl.origin = first ? u0 : prog.ht;
+      pl.store_off = first ? prog.ht - u0 : (last ? u0 - prog.ht : 0);
+      pl.band = band;
+      pl.aux = wr.aux_res;
+      return pl;
+    };
+    wr.table.resize(static_cast<std::size_t>(prog.table_size()));
+    prog.for_each_distinct_sweep([&](int s) {
+      BandSweep& e = wr.table[static_cast<std::size_t>(prog.entry(s))];
+      if (!e.body) e = prog.make(prog.stage(s), place(s));
+    });
+    tile_objs.push_back(std::make_unique<ResidentBandTile<T>>(std::move(wr)));
+  }
+
+  std::vector<sim::PersistentTask*> tasks;
+  tasks.reserve(tile_objs.size());
+  for (auto& t : tile_objs) tasks.push_back(t.get());
+  if (!L.sharded()) {
+    ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
+    sim::run_persistent_on(lane, tasks, &ctl.stop);
+  } else {
+    std::vector<std::span<sim::PersistentTask* const>> groups;
+    groups.reserve(L.tile_range.size());
+    for (const auto& [tb, te] : L.tile_range) {
+      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
+    }
+    sim::run_persistent_group(L.devices, groups, &ctl.stop);
+  }
+  ctl.throw_if_aborted();
+  return r;
+}
+
+/// Relaunch execution: one full-grid launch per sweep on one pool (the
+/// device's slice when pinned, else the global pool), with the cancel/fault
+/// gate before every sweep. The state after sweep s lives in the relay
+/// arrays in turn; the last sweep stores to `dst` unless dst aliases src,
+/// in which case the builder finds the final state in relay[(sweeps-1) % 2].
+template <typename T>
+void run_relaunch(const sim::ArchSpec& arch, const BandProgram<T>& prog,
+                  const PersistentOptions& opt, sim::PersistentWorkspace& ws) {
+  const int n = prog.sweeps;
+  const Index units = prog.units;
+  std::array<T*, 2> relay = prog.relay;
+  if (relay[0] == nullptr && n >= 2) {
+    const std::size_t bytes = static_cast<std::size_t>(units * prog.unit_elems) * sizeof(T);
+    const std::size_t stride = (bytes + 63) / 64 * 64;
+    std::byte* p = ws.scratch(stride + bytes);
+    relay = {reinterpret_cast<T*>(p), reinterpret_cast<T*>(p + stride)};
+  }
+  auto state = [&](int s) -> T* {  // the array holding the state after s sweeps
+    if (s == n && prog.dst != prog.src) return prog.dst;
+    return relay[static_cast<std::size_t>((s - 1) % 2)];
+  };
+  // Table slot of sweep s: its stage, or in a one-stage program its arrays
+  // (src -> relay, the two relay directions, -> final array).
+  auto slot = [&](int s) -> std::size_t {
+    if (prog.stages > 1) return static_cast<std::size_t>(s);
+    return s == 0 ? 0 : (s == n - 1 ? 3 : 1 + static_cast<std::size_t>((s - 1) % 2));
+  };
+  // Every distinct sweep is lowered before the first launch, so lowering
+  // errors surface before any array is written.
+  std::vector<BandSweep> table(static_cast<std::size_t>(prog.table_size()));
+  prog.for_each_distinct_sweep([&](int s) {
+    BandSweep& e = table[slot(s)];
+    if (e.body) return;
+    SweepPlace<T> pl;
+    pl.in = s == 0 ? prog.src : state(s);
+    pl.in_units = units;
+    pl.out = state(s + 1);
+    pl.out_units = units;
+    pl.band = units;
+    pl.aux = prog.aux;
+    e = prog.make(prog.stage(s), pl);
+  });
+
+  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
+  const int dev = opt.device != nullptr ? opt.device->index() : -1;
+  for (int s = 0; s < n; ++s) {
+    relaunch_sweep_gate(opt.cancel, dev);
+    const BandSweep& sw = table[slot(s)];
+    sim::detail::run_functional_grid_on(lane, arch, sw.cfg, sw.body);
+    if (opt.device != nullptr) {
+      opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (sw.epilogue) sw.epilogue();
+  }
+}
+
+/// THE band engine entry: runs `prog` as resident band tiles (`persistent`)
+/// or as one full-grid launch per sweep, and reports what it did.
+template <typename T>
+PersistentRunStats run_program(const sim::ArchSpec& arch, const BandProgram<T>& prog,
+                               const PersistentOptions& opt, bool persistent,
+                               sim::PersistentWorkspace* ws) {
+  static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
+  SSAM_REQUIRE(prog.sweeps >= 0, "negative sweep count");
+  SSAM_REQUIRE(prog.stages == 1 || prog.stages == prog.sweeps,
+               "a band program runs one stage per sweep or one stage throughout");
+  SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
+               "a device-pinned run cannot also be sharded");
+  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : default_workspace();
+  if (persistent) return run_band_program(arch, prog, opt, wsp);
+  PersistentRunStats r;
+  r.sweeps = prog.sweeps;
+  r.t = prog.t;
+  log_policy_decision(prog.engine, opt.policy, r);
+  run_relaunch(arch, prog, opt, wsp);
+  return r;
+}
+
+/// The program of `sweeps` in-place sweeps of one stage over `a` (final
+/// state in `a`; relaunch ping-pongs through `b`). A post hook keeps the
+/// staged load/drain, since it must see every produced band in residence.
+template <typename T>
+[[nodiscard]] BandProgram<T> iteration_program(const char* engine, T* a, T* b, T* aux,
+                                               int sweeps, int t, bool has_post) {
+  BandProgram<T> prog;
+  prog.engine = engine;
+  prog.src = a;
+  prog.dst = a;
+  prog.aux = aux;
+  prog.relay = {b, a};
+  prog.sweeps = sweeps;
+  prog.t = t;
+  prog.fuse_ends = !has_post;
+  return prog;
+}
+
+/// The 2D SSAM stencil sweep (`t` fused steps) at `pl`: the full-grid
+/// kernel body with its row origin, store offset, and grid height moved to
+/// the place's band. Store views end at the band, so a sweep never writes
+/// the halo rows of a residence buffer (the next exchange fills them).
+template <typename T>
+[[nodiscard]] BandSweep stencil2d_sweep(const SystolicPlan<T>& plan, int t, int p,
+                                        int block_threads, Index w, const SweepPlace<T>& pl) {
+  const GridView2D<const T> in(pl.in, w, pl.in_units, w);
+  const GridView2D<T> out(pl.out, w, pl.origin + pl.store_off + pl.band, w);
+  Stencil2dSetup s = t == 1 ? stencil2d_setup(in, plan, StencilOptions{p, block_threads})
+                            : stencil2d_temporal_setup(in, plan,
+                                                       TemporalSsamOptions{t, p, block_threads});
+  s.row_origin = pl.origin;
+  s.store_row_offset = pl.store_off;
+  s.cfg.grid.y = static_cast<int>(ceil_div(pl.band, static_cast<Index>(p)));
+  if (t == 1) return {s.cfg, make_stencil2d_body<T>(s, in, plan.passes.front(), out), {}};
+  return {s.cfg,
+          make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), t, plan.rows_halo(), out),
+          {}};
+}
+
 }  // namespace detail
 
 /// Runs `sweeps` stencil sweeps (each advancing `opt.t` fused time steps)
@@ -460,14 +731,9 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
                                                 const PersistentOptions& opt = {},
                                                 PostFn post = {}, Grid2D<T>* aux = nullptr,
                                                 sim::PersistentWorkspace* ws = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
   constexpr bool kHasPost = !std::is_same_v<PostFn, detail::NoPost>;
-  SSAM_REQUIRE(sweeps >= 0, "negative sweep count");
   SSAM_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                "ping/pong grids must match");
-  SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
-               "a device-pinned run cannot also be sharded");
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
   if constexpr (kHasPost) {
     SSAM_REQUIRE(opt.t == 1, "post hook requires t == 1 (halos carry post-processed state)");
   }
@@ -476,259 +742,31 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
                  "aux grid must match the state grid");
   }
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  const TemporalSsamOptions topt{opt.t, opt.p, opt.block_threads};
-  const StencilOptions sopt{opt.p, opt.block_threads};
   const Index w = a.width();
-  const Index h = a.height();
-  const int dy_max = plan.dy_min + plan.rows_halo();
-  const Index ht = static_cast<Index>(-opt.t * plan.dy_min);
-  const Index hb = static_cast<Index>(opt.t * dy_max);
-  const Index min_band = std::max<Index>({ht, hb, 1});
-  PersistentRunStats r;
-  r.sweeps = sweeps;
-  r.t = opt.t;
-
-  if (!detail::choose_persistent(opt.policy, sweeps)) {
-    const detail::ShardSplit sp =
-        detail::split_shards(h, opt.shard, static_cast<Index>(opt.p), min_band);
-    r.devices = sp.sharded() ? sp.shards() : 1;
-    r.sharded = sp.sharded();
-    if (sweeps > 0 && sp.sharded()) {
-      // Sharded relaunch: each device sweeps its shard's rows of the global
-      // grids on its own pool, using the same origin-shifted bodies the
-      // persistent engine uses for fused boundary sweeps, with the store
-      // clipped at the shard seam (rows past the band belong to the next
-      // device). One group barrier per sweep keeps the global arrays
-      // consistent, so seam reads come straight from them and results are
-      // bit-identical to the single-pool per-step path.
-      const int shards = sp.shards();
-      std::vector<sim::LaunchConfig> cfgs(static_cast<std::size_t>(shards));
-      std::array<std::vector<std::function<void(sim::FunctionalBlockContext&)>>, 2>
-          bodies;
-      bodies[0].resize(static_cast<std::size_t>(shards));
-      bodies[1].resize(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        const Index y0 = sp.starts[static_cast<std::size_t>(s)];
-        const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - y0;
-        const GridView2D<T> out_b(b.data(), w, y0 + band, w);
-        const GridView2D<T> out_a(a.data(), w, y0 + band, w);
-        auto make = [&](GridView2D<const T> in, GridView2D<T> out) {
-          if (opt.t == 1) {
-            detail::Stencil2dSetup st = detail::stencil2d_setup(in, plan, sopt);
-            st.row_origin = y0;
-            st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
-            cfgs[static_cast<std::size_t>(s)] = st.cfg;
-            return std::function<void(sim::FunctionalBlockContext&)>(
-                detail::make_stencil2d_body<T>(st, in, plan.passes.front(), out));
-          }
-          detail::Stencil2dSetup st = detail::stencil2d_temporal_setup(in, plan, topt);
-          st.row_origin = y0;
-          st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
-          cfgs[static_cast<std::size_t>(s)] = st.cfg;
-          return std::function<void(sim::FunctionalBlockContext&)>(
-              detail::make_stencil2d_temporal_body<T>(st, in, plan.passes.front(), opt.t,
-                                                      plan.rows_halo(), out));
-        };
-        bodies[0][static_cast<std::size_t>(s)] = make(a.cview(), out_b);
-        bodies[1][static_cast<std::size_t>(s)] = make(b.cview(), out_a);
-      }
-      for (int sw = 0; sw < sweeps; ++sw) {
-        detail::relaunch_sweep_gate(opt.cancel, -1);
-        const int parity = sw % 2;
-        sim::for_each_device(sp.devices, [&](int s) {
-          sim::detail::run_functional_grid_on(
-              sp.devices[static_cast<std::size_t>(s)]->pool(), arch,
-              cfgs[static_cast<std::size_t>(s)],
-              bodies[static_cast<std::size_t>(parity)][static_cast<std::size_t>(s)]);
-          if constexpr (kHasPost) {
-            const Index y0 = sp.starts[static_cast<std::size_t>(s)];
-            const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - y0;
-            Grid2D<T>& nxt = parity == 0 ? b : a;
-            Grid2D<T>& cur = parity == 0 ? a : b;
-            post(GridView2D<T>(nxt.data() + y0 * w, w, band, w),
-                 GridView2D<const T>(cur.data() + y0 * w, w, band, w),
-                 aux != nullptr ? GridView2D<T>(aux->data() + y0 * w, w, band, w)
-                                : GridView2D<T>{});
-          }
-        });
-      }
-      if (sweeps % 2 == 1) std::swap(a, b);
-    } else if (sweeps > 0) {
-      // The functional fan-out goes through `lane` directly so a
-      // device-pinned relaunch run (server dispatch) stays on its device's
-      // slice; on the global pool this is exactly what sim::launch does in
-      // functional mode.
-      auto run_sweeps = [&](const sim::LaunchConfig& cfg, auto& ping, auto& pong) {
-        const int dev = opt.device != nullptr ? opt.device->index() : -1;
-        for (int sw = 0; sw < sweeps; ++sw) {
-          detail::relaunch_sweep_gate(opt.cancel, dev);
-          if (sw % 2 == 0) {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, ping);
-          } else {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, pong);
-          }
-          if (opt.device != nullptr) {
-            opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
-          }
-          if constexpr (kHasPost) {
-            Grid2D<T>& nxt = (sw % 2 == 0) ? b : a;
-            Grid2D<T>& cur = (sw % 2 == 0) ? a : b;
-            post(nxt.view(), cur.cview(),
-                 aux != nullptr ? aux->view() : GridView2D<T>{});
-          }
-        }
-        if (sweeps % 2 == 1) std::swap(a, b);
-      };
-      if (opt.t == 1) {
-        const detail::Stencil2dSetup s = detail::stencil2d_setup(a.cview(), plan, sopt);
-        auto ping = detail::make_stencil2d_body<T>(s, a.cview(), plan.passes.front(),
-                                                   b.view());
-        auto pong = detail::make_stencil2d_body<T>(s, b.cview(), plan.passes.front(),
-                                                   a.view());
-        run_sweeps(s.cfg, ping, pong);
-      } else {
-        const detail::Stencil2dSetup s =
-            detail::stencil2d_temporal_setup(a.cview(), plan, topt);
-        auto ping = detail::make_stencil2d_temporal_body<T>(
-            s, a.cview(), plan.passes.front(), opt.t, plan.rows_halo(), b.view());
-        auto pong = detail::make_stencil2d_temporal_body<T>(
-            s, b.cview(), plan.passes.front(), opt.t, plan.rows_halo(), a.view());
-        run_sweeps(s.cfg, ping, pong);
-      }
-    }
-    detail::log_policy_decision("iterate_stencil2d", opt.policy, r);
-    return r;
-  }
-
-  detail::BandLayoutRequest req;
-  req.units = h;
-  req.unit_elems = w;
-  req.elem_bytes = sizeof(T);
-  req.ht = ht;
-  req.hb = hb;
-  req.align = static_cast<Index>(opt.p);
-  req.min_band = min_band;
-  req.want_tiles = opt.tiles;
-  req.has_aux = aux != nullptr;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
-  detail::log_policy_decision("iterate_stencil2d", opt.policy, r);
-  if (sweeps == 0) return r;
-  const std::vector<Index>& starts = L.starts;
-  const std::span<sim::HaloChannel> chans = L.chans;
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index y0 = starts[static_cast<std::size_t>(i)];
-    const Index band = starts[static_cast<std::size_t>(i) + 1] - y0;
-    const Index buf_rows = ht + band + hb;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = a.data();
-    wr.dst = a.data();
-    wr.unit_elems = w;
-    wr.band = band;
-    wr.ht = ht;
-    wr.hb = hb;
-    wr.u0 = y0;
-    wr.sweeps = sweeps;
-    wr.buf_a = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    wr.buf_b = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    if (aux != nullptr) {
-      wr.aux_global = aux->data();
-      wr.aux_res = reinterpret_cast<T*>(L.aux[static_cast<std::size_t>(i)]);
-    }
-    if (i > 0) {
-      wr.in_lo = &chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
-    wr.control = &ctl;
-
-    const GridView2D<const T> in_a(wr.buf_a, w, buf_rows, w);
-    const GridView2D<const T> in_b(wr.buf_b, w, buf_rows, w);
-    // Store views end at the band so the halo rows of the target buffer are
-    // never written by the sweep (the next exchange fills them).
-    const GridView2D<T> out_a(wr.buf_a, w, ht + band, w);
-    const GridView2D<T> out_b(wr.buf_b, w, ht + band, w);
-    const GridView2D<T> out_global(a.data(), w, y0 + band, w);
-    const int grid_y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
-    const int last_parity = (sweeps - 1) % 2;
-    auto make_body = [&](Index origin, Index store_off, GridView2D<const T> in,
-                         GridView2D<T> out) {
-      if (opt.t == 1) {
-        detail::Stencil2dSetup s = detail::stencil2d_setup(in, plan, sopt);
-        s.row_origin = origin;
-        s.store_row_offset = store_off;
-        s.cfg.grid.y = grid_y;
-        wr.cfg = s.cfg;
-        return std::function<void(sim::FunctionalBlockContext&)>(
-            detail::make_stencil2d_body<T>(s, in, plan.passes.front(), out));
-      }
-      detail::Stencil2dSetup s = detail::stencil2d_temporal_setup(in, plan, topt);
-      s.row_origin = origin;
-      s.store_row_offset = store_off;
-      s.cfg.grid.y = grid_y;
-      wr.cfg = s.cfg;
-      return std::function<void(sim::FunctionalBlockContext&)>(
-          detail::make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), opt.t,
-                                                  plan.rows_halo(), out));
-    };
-    wr.sweep[0] = make_body(ht, 0, in_a, out_b);
-    wr.sweep[1] = make_body(ht, 0, in_b, out_a);
-    if constexpr (!kHasPost) {
-      // Fused boundary sweeps (see Wiring): first reads the global array,
-      // last stores to it. The first fusion needs sweeps >= 3 so the
-      // channel backpressure orders it against neighbours' final stores.
-      if (sweeps >= 3) {
-        wr.sweep_first = make_body(y0, ht - y0, a.cview(), out_b);
-      }
-      wr.sweep_last = make_body(ht, y0 - ht, last_parity == 0 ? in_a : in_b, out_global);
-    }
+  detail::BandProgram<T> prog =
+      detail::iteration_program("iterate_stencil2d", a.data(), b.data(),
+                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t, kHasPost);
+  prog.units = a.height();
+  prog.unit_elems = w;
+  prog.ht = static_cast<Index>(-opt.t * plan.dy_min);
+  prog.hb = static_cast<Index>(opt.t * plan.dy_max);
+  prog.align = static_cast<Index>(opt.p);
+  prog.min_band = std::max<Index>({prog.ht, prog.hb, 1});
+  prog.make = [&](int, const detail::SweepPlace<T>& pl) {
+    detail::BandSweep sw =
+        detail::stencil2d_sweep(plan, opt.t, opt.p, opt.block_threads, w, pl);
     if constexpr (kHasPost) {
-      wr.post = [post, w, band](T* nb, const T* cb, T* ab) {
-        post(GridView2D<T>(nb, w, band, w), GridView2D<const T>(cb, w, band, w),
-             GridView2D<T>(ab, w, ab != nullptr ? band : 0, w));
+      sw.epilogue = [post, w, band = pl.band, next = pl.out_band(w), cur = pl.in_band(w),
+                     ab = pl.aux] {
+        post(GridView2D<T>(next, w, band, w), GridView2D<const T>(cur, w, band, w),
+             ab != nullptr ? GridView2D<T>(ab, w, band, w) : GridView2D<T>{});
       };
     }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
+    return sw;
+  };
+  const PersistentRunStats r = detail::run_program(
+      arch, prog, opt, detail::choose_persistent(opt.policy, sweeps), ws);
+  if (!r.persistent && sweeps % 2 == 1) std::swap(a, b);
   return r;
 }
 
@@ -743,14 +781,9 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
                                                 const PersistentOptions& opt = {},
                                                 PostFn post = {}, Grid3D<T>* aux = nullptr,
                                                 sim::PersistentWorkspace* ws = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
   constexpr bool kHasPost = !std::is_same_v<PostFn, detail::NoPost>;
-  SSAM_REQUIRE(sweeps >= 0, "negative sweep count");
   SSAM_REQUIRE(a.nx() == b.nx() && a.ny() == b.ny() && a.nz() == b.nz(),
                "ping/pong grids must match");
-  SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
-               "a device-pinned run cannot also be sharded");
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
   if constexpr (kHasPost) {
     SSAM_REQUIRE(opt.t == 1, "post hook requires t == 1 (halos carry post-processed state)");
   }
@@ -759,277 +792,56 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
                  "aux grid must match the state grid");
   }
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  const Temporal3DOptions topt{opt.t, opt.p, opt.warps3d};
-  const Stencil3DOptions sopt{opt.p, opt.warps3d};
   const Index nx = a.nx();
   const Index ny = a.ny();
-  const Index nz = a.nz();
-  const Index plane = nx * ny;
   const Index hz = static_cast<Index>(opt.t * plan.rz());
   const int vp = opt.warps3d - 2 * opt.t * plan.rz();
-  const Index align3 = static_cast<Index>(std::max(vp, 1));
-  PersistentRunStats r;
-  r.sweeps = sweeps;
-  r.t = opt.t;
-
-  if (!detail::choose_persistent(opt.policy, sweeps)) {
-    const detail::ShardSplit sp =
-        detail::split_shards(nz, opt.shard, align3, std::max<Index>(hz, 1));
-    r.devices = sp.sharded() ? sp.shards() : 1;
-    r.sharded = sp.sharded();
-    if (sweeps > 0 && sp.sharded()) {
-      // Sharded relaunch in 3D: per-device z-band launches over the global
-      // grids with the store window clipped at the shard seam, one group
-      // barrier per sweep (see the 2D engine for the parity argument).
-      SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
-      const int shards = sp.shards();
-      std::vector<sim::LaunchConfig> cfgs(static_cast<std::size_t>(shards));
-      std::array<std::vector<std::function<void(sim::FunctionalBlockContext&)>>, 2>
-          bodies;
-      bodies[0].resize(static_cast<std::size_t>(shards));
-      bodies[1].resize(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        const Index z0 = sp.starts[static_cast<std::size_t>(s)];
-        const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - z0;
-        auto make = [&](GridView3D<const T> in, GridView3D<T> out) {
-          if (opt.t == 1) {
-            detail::Stencil3dSetup<T> st = detail::stencil3d_setup(in, plan, sopt);
-            st.z_origin = z0;
-            st.z_store_lo = z0;
-            st.z_store_hi = z0 + band;
-            st.cfg.grid.z = static_cast<int>(ceil_div(band, static_cast<Index>(vp)));
-            cfgs[static_cast<std::size_t>(s)] = st.cfg;
-            return std::function<void(sim::FunctionalBlockContext&)>(
-                detail::make_stencil3d_body<T>(std::move(st), in, out));
-          }
-          detail::Temporal3DSetup<T> st =
-              detail::stencil3d_temporal_setup(in, plan, topt, {z0, band});
-          cfgs[static_cast<std::size_t>(s)] = st.cfg;
-          return std::function<void(sim::FunctionalBlockContext&)>(
-              detail::make_stencil3d_temporal_body<T>(std::move(st), in, out));
-        };
-        bodies[0][static_cast<std::size_t>(s)] = make(a.cview(), b.view());
-        bodies[1][static_cast<std::size_t>(s)] = make(b.cview(), a.view());
-      }
-      for (int sw = 0; sw < sweeps; ++sw) {
-        detail::relaunch_sweep_gate(opt.cancel, -1);
-        const int parity = sw % 2;
-        sim::for_each_device(sp.devices, [&](int s) {
-          sim::detail::run_functional_grid_on(
-              sp.devices[static_cast<std::size_t>(s)]->pool(), arch,
-              cfgs[static_cast<std::size_t>(s)],
-              bodies[static_cast<std::size_t>(parity)][static_cast<std::size_t>(s)]);
-          if constexpr (kHasPost) {
-            const Index z0 = sp.starts[static_cast<std::size_t>(s)];
-            const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - z0;
-            Grid3D<T>& nxt = parity == 0 ? b : a;
-            Grid3D<T>& cur = parity == 0 ? a : b;
-            post(GridView3D<T>(nxt.data() + z0 * plane, nx, ny, band),
-                 GridView3D<const T>(cur.data() + z0 * plane, nx, ny, band),
-                 aux != nullptr
-                     ? GridView3D<T>(aux->data() + z0 * plane, nx, ny, band)
-                     : GridView3D<T>{});
-          }
-        });
-      }
-      if (sweeps % 2 == 1) std::swap(a, b);
-    } else if (sweeps > 0) {
-      // Device-pinned relaunch runs fan out over `lane` (see the 2D engine).
-      auto run_sweeps = [&](const sim::LaunchConfig& cfg, auto& ping, auto& pong) {
-        const int dev = opt.device != nullptr ? opt.device->index() : -1;
-        for (int sw = 0; sw < sweeps; ++sw) {
-          detail::relaunch_sweep_gate(opt.cancel, dev);
-          if (sw % 2 == 0) {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, ping);
-          } else {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, pong);
-          }
-          if (opt.device != nullptr) {
-            opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
-          }
-          if constexpr (kHasPost) {
-            Grid3D<T>& nxt = (sw % 2 == 0) ? b : a;
-            Grid3D<T>& cur = (sw % 2 == 0) ? a : b;
-            post(nxt.view(), cur.cview(),
-                 aux != nullptr ? aux->view() : GridView3D<T>{});
-          }
-        }
-        if (sweeps % 2 == 1) std::swap(a, b);
-      };
-      if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(a.cview(), plan, sopt);
-        const sim::LaunchConfig cfg = s.cfg;
-        auto ping = detail::make_stencil3d_body<T>(s, a.cview(), b.view());
-        auto pong = detail::make_stencil3d_body<T>(std::move(s), b.cview(), a.view());
-        run_sweeps(cfg, ping, pong);
-      } else {
-        detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(a.cview(), plan, topt);
-        const sim::LaunchConfig cfg = s.cfg;
-        auto ping = detail::make_stencil3d_temporal_body<T>(s, a.cview(), b.view());
-        auto pong = detail::make_stencil3d_temporal_body<T>(std::move(s), b.cview(), a.view());
-        run_sweeps(cfg, ping, pong);
-      }
-    }
-    detail::log_policy_decision("iterate_stencil3d", opt.policy, r);
-    return r;
-  }
-
-  SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
-  detail::BandLayoutRequest req;
-  req.units = nz;
-  req.unit_elems = plane;
-  req.elem_bytes = sizeof(T);
-  req.ht = hz;
-  req.hb = hz;
-  req.align = align3;
-  req.min_band = std::max<Index>(hz, 1);
-  req.want_tiles = opt.tiles;
-  req.has_aux = aux != nullptr;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
-  detail::log_policy_decision("iterate_stencil3d", opt.policy, r);
-  if (sweeps == 0) return r;
-  const std::vector<Index>& starts = L.starts;
-  const std::span<sim::HaloChannel> chans = L.chans;
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index z0 = starts[static_cast<std::size_t>(i)];
-    const Index band = starts[static_cast<std::size_t>(i) + 1] - z0;
-    const Index buf_planes = band + 2 * hz;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = a.data();
-    wr.dst = a.data();
-    wr.unit_elems = plane;
-    wr.band = band;
-    wr.ht = hz;
-    wr.hb = hz;
-    wr.u0 = z0;
-    wr.sweeps = sweeps;
-    wr.buf_a = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    wr.buf_b = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    if (aux != nullptr) {
-      wr.aux_global = aux->data();
-      wr.aux_res = reinterpret_cast<T*>(L.aux[static_cast<std::size_t>(i)]);
-    }
-    if (i > 0) {
-      wr.in_lo = &chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
-    wr.control = &ctl;
-
-    const GridView3D<const T> in_a(wr.buf_a, nx, ny, buf_planes);
-    const GridView3D<const T> in_b(wr.buf_b, nx, ny, buf_planes);
-    const GridView3D<T> out_a(wr.buf_a, nx, ny, buf_planes);
-    const GridView3D<T> out_b(wr.buf_b, nx, ny, buf_planes);
-    const GridView3D<T> out_global = a.view();
-    const int last_parity = (sweeps - 1) % 2;
-    // The z-window stores only the band planes; the target buffer's halo
-    // planes are filled by the next exchange. `z0_load` positions the
-    // window in the input array (buffer: hz, global: z0); `store_off`
-    // relocates the store into the other array for the fused sweeps.
-    auto make_body = [&](Index z0_load, Index store_off, GridView3D<const T> in,
-                         GridView3D<T> out) {
-      if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(in, plan, sopt);
-        s.z_origin = z0_load;
-        s.z_store_lo = z0_load;
-        s.z_store_hi = z0_load + band;
-        s.z_store_offset = store_off;
-        s.cfg.grid.z = static_cast<int>(ceil_div(band, static_cast<Index>(vp)));
-        wr.cfg = s.cfg;
-        return std::function<void(sim::FunctionalBlockContext&)>(
-            detail::make_stencil3d_body<T>(std::move(s), in, out));
-      }
-      detail::Temporal3DSetup<T> s =
-          detail::stencil3d_temporal_setup(in, plan, topt, {z0_load, band});
-      s.z_store_offset = store_off;
-      wr.cfg = s.cfg;
-      return std::function<void(sim::FunctionalBlockContext&)>(
-          detail::make_stencil3d_temporal_body<T>(std::move(s), in, out));
-    };
-    wr.sweep[0] = make_body(hz, 0, in_a, out_b);
-    wr.sweep[1] = make_body(hz, 0, in_b, out_a);
-    if constexpr (!kHasPost) {
-      if (sweeps >= 3) {
-        wr.sweep_first = make_body(z0, hz - z0, a.cview(), out_b);
-      }
-      wr.sweep_last = make_body(hz, z0 - hz, last_parity == 0 ? in_a : in_b, out_global);
+  const bool persistent = detail::choose_persistent(opt.policy, sweeps);
+  if (persistent) SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
+  detail::BandProgram<T> prog =
+      detail::iteration_program("iterate_stencil3d", a.data(), b.data(),
+                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t, kHasPost);
+  prog.units = a.nz();
+  prog.unit_elems = nx * ny;
+  prog.ht = hz;
+  prog.hb = hz;
+  prog.align = static_cast<Index>(std::max(vp, 1));
+  prog.min_band = std::max<Index>(hz, 1);
+  // The z-window stores only the band planes; a residence buffer's halo
+  // planes are filled by the next exchange.
+  prog.make = [&](int, const detail::SweepPlace<T>& pl) {
+    const GridView3D<const T> in(pl.in, nx, ny, pl.in_units);
+    const GridView3D<T> out(pl.out, nx, ny, pl.out_units);
+    detail::BandSweep sw;
+    if (opt.t == 1) {
+      detail::Stencil3dSetup<T> s =
+          detail::stencil3d_setup(in, plan, Stencil3DOptions{opt.p, opt.warps3d});
+      s.z_origin = pl.origin;
+      s.z_store_lo = pl.origin;
+      s.z_store_hi = pl.origin + pl.band;
+      s.z_store_offset = pl.store_off;
+      s.cfg.grid.z = static_cast<int>(ceil_div(pl.band, static_cast<Index>(s.vp)));
+      sw.cfg = s.cfg;
+      sw.body = detail::make_stencil3d_body<T>(std::move(s), in, out);
+    } else {
+      detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(
+          in, plan, Temporal3DOptions{opt.t, opt.p, opt.warps3d}, {pl.origin, pl.band});
+      s.z_store_offset = pl.store_off;
+      sw.cfg = s.cfg;
+      sw.body = detail::make_stencil3d_temporal_body<T>(std::move(s), in, out);
     }
     if constexpr (kHasPost) {
-      wr.post = [post, nx, ny, band](T* nb, const T* cb, T* ab) {
-        post(GridView3D<T>(nb, nx, ny, band), GridView3D<const T>(cb, nx, ny, band),
-             GridView3D<T>(ab, nx, ny, ab != nullptr ? band : 0));
+      sw.epilogue = [post, nx, ny, band = pl.band, next = pl.out_band(nx * ny),
+                     cur = pl.in_band(nx * ny), ab = pl.aux] {
+        post(GridView3D<T>(next, nx, ny, band), GridView3D<const T>(cur, nx, ny, band),
+             ab != nullptr ? GridView3D<T>(ab, nx, ny, band) : GridView3D<T>{});
       };
     }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
+    return sw;
+  };
+  const PersistentRunStats r = detail::run_program(arch, prog, opt, persistent, ws);
+  if (!r.persistent && sweeps % 2 == 1) std::swap(a, b);
   return r;
-}
-
-/// Sharded variant of the per-step relaunch drivers (core/iterate.hpp):
-/// the same double-buffered step schedule, with each sweep's band launches
-/// distributed across the shard policy's virtual devices (seam-clipped
-/// stores, one group barrier per sweep). One entry for both dimensions —
-/// the grid type picks the engine (Grid3D exposes nz()) and the kernel
-/// option struct contributes whichever knobs it has (StencilOptions:
-/// block_threads; Stencil3DOptions: warps). Bit-identical to the
-/// unsharded per-step drivers at every shard count; the final state ends
-/// in `a`.
-template <typename T, typename GridT, typename KernelOpt = StencilOptions>
-PersistentRunStats iterate_stencil_sharded(const sim::ArchSpec& arch, GridT& a, GridT& b,
-                                           const StencilShape<T>& shape, int steps,
-                                           const ShardPolicy& shard,
-                                           const KernelOpt& opt = {}) {
-  PersistentOptions popt;
-  popt.policy = IterationPolicy::kRelaunch;
-  popt.shard = shard;
-  popt.p = opt.p;
-  if constexpr (requires { opt.block_threads; }) popt.block_threads = opt.block_threads;
-  if constexpr (requires { opt.warps; }) popt.warps3d = opt.warps;
-  if constexpr (requires(GridT& g) { g.nz(); }) {
-    return iterate_stencil3d_persistent<T>(arch, a, b, shape, steps, popt);
-  } else {
-    return iterate_stencil2d_persistent<T>(arch, a, b, shape, steps, popt);
-  }
 }
 
 }  // namespace ssam::core

@@ -1,22 +1,23 @@
 // Domain sharding across virtual devices.
 //
-// The persistent iteration engine (core/iterate_persistent.hpp) decomposes
-// a grid into resident band tiles on ONE worker pool. This layer adds the
-// level above: a `ShardPolicy` splits the same band axis (rows in 2D,
-// z-planes in 3D) into contiguous *shards*, places each shard on its own
-// virtual device (gpusim/device.hpp — a pool slice with its own workspace
-// arena and counters), and wires the two tiles that meet at a shard seam
-// with a *peer* halo channel from the device group. Peer channels are the
+// The band engine (core/iterate_persistent.hpp) decomposes a grid into
+// resident band tiles on ONE worker pool. This layer adds the level above:
+// a `ShardPolicy` splits the same band axis (rows in 2D, z-planes in 3D)
+// into contiguous *shards*, places each shard on its own virtual device
+// (gpusim/device.hpp — a pool slice with its own workspace arena and
+// counters), and wires the two tiles that meet at a shard seam with a
+// *peer* halo channel from the device group. Peer channels are the
 // identical epoch-counted SPSC machinery used inside a shard, configured
 // zero-copy: a boundary published on device d is written directly into the
 // halo region of the neighbouring tile's residence buffer on device d+1,
 // so inter-device exchange costs one memcpy and two atomic counters — no
-// global-array round trip, no staging copy.
+// global-array round trip, no staging copy. Sharding places persistent
+// tiles only; a relaunch run ignores the policy and executes on one pool.
 //
 // Sharding never changes results: every tile still computes the same band
 // rows from the same halo state, so sharded runs are bit-identical to
-// single-device runs at every shard count and policy — the invariant the
-// randomized differential suite (tests/test_sharding.cpp) enforces.
+// single-device runs at every shard count — the invariant the randomized
+// differential suite (tests/test_sharding.cpp) enforces.
 #pragma once
 
 #include <algorithm>
@@ -29,8 +30,8 @@
 
 namespace ssam::core {
 
-/// Whether an iterative run stays on one pool or is sharded across virtual
-/// devices.
+/// Whether a persistent run's tiles stay on one pool or are sharded across
+/// virtual devices (relaunch runs always use one pool).
 enum class ShardMode { kSingle, kSharded };
 
 struct ShardPolicy {
@@ -84,40 +85,9 @@ inline constexpr std::size_t kTargetResidenceBytes = std::size_t{512} << 10;
   return std::max(2 * workers, by_size);
 }
 
-/// The shard split of one run: contiguous unit ranges and the device that
-/// owns each. Single mode: one range, no devices (the run stays on the
-/// global pool).
-struct ShardSplit {
-  std::vector<Index> starts;          ///< shard starts + end sentinel
-  std::vector<sim::Device*> devices;  ///< empty in single mode
-  sim::DeviceGroup* group = nullptr;  ///< null in single mode
-
-  [[nodiscard]] int shards() const { return static_cast<int>(starts.size()) - 1; }
-  [[nodiscard]] bool sharded() const { return group != nullptr; }
-};
-
-[[nodiscard]] inline ShardSplit split_shards(Index units, const ShardPolicy& shard,
-                                             Index align, Index min_band) {
-  ShardSplit sp;
-  if (shard.mode != ShardMode::kSharded) {
-    sp.starts = {0, units};
-    return sp;
-  }
-  const int want = shard.devices > 0 ? shard.devices : sim::default_device_count();
-  sp.group = shard.group != nullptr ? shard.group : &sim::DeviceGroup::shared(want);
-  const int avail = std::min(want, sp.group->size());
-  // The partitioner clamps further when the domain cannot host `avail`
-  // min_band-sized shards — "shard count > tile count" degrades gracefully
-  // to fewer (possibly one) shards instead of empty devices.
-  sp.starts = partition_bands(units, avail, align, min_band);
-  sp.devices.reserve(static_cast<std::size_t>(sp.shards()));
-  for (int s = 0; s < sp.shards(); ++s) sp.devices.push_back(&sp.group->device(s));
-  return sp;
-}
-
 /// Geometry request of one sharded (or single) persistent band run. All
-/// sizes are in units (rows or planes) and bytes, so one builder serves the
-/// 2D and 3D engines.
+/// sizes are in units (rows or planes) and bytes, so one builder serves
+/// every band program, 2D or 3D.
 struct BandLayoutRequest {
   Index units = 0;            ///< total units on the band axis
   Index unit_elems = 0;       ///< elements per unit (row width or plane size)
@@ -174,15 +144,28 @@ struct BandLayout {
       static_cast<std::size_t>(req.unit_elems) * req.elem_bytes;
   const std::size_t skew_bytes = static_cast<std::size_t>(skew_elems) * req.elem_bytes;
 
+  // The shard split: one range on the single pool, else contiguous ranges
+  // on the group's devices. The partitioner clamps when the domain cannot
+  // host `avail` min_band-sized shards — "shard count > tile count"
+  // degrades to fewer (possibly one) shards instead of empty devices.
   BandLayout L;
-  ShardSplit sp = split_shards(req.units, shard, req.align, req.min_band);
-  const int shards = sp.shards();
-  L.devices = std::move(sp.devices);
+  std::vector<Index> shard_starts{0, req.units};
+  sim::DeviceGroup* group = nullptr;
+  if (shard.mode == ShardMode::kSharded) {
+    const int want = shard.devices > 0 ? shard.devices : sim::default_device_count();
+    group = shard.group != nullptr ? shard.group : &sim::DeviceGroup::shared(want);
+    const int avail = std::min(want, group->size());
+    shard_starts = partition_bands(req.units, avail, req.align, req.min_band);
+    for (std::size_t d = 0; d + 1 < shard_starts.size(); ++d) {
+      L.devices.push_back(&group->device(static_cast<int>(d)));
+    }
+  }
+  const int shards = static_cast<int>(shard_starts.size()) - 1;
 
   // Tiles within each shard, concatenated in global band order.
   for (int s = 0; s < shards; ++s) {
-    const Index u0 = sp.starts[static_cast<std::size_t>(s)];
-    const Index su = sp.starts[static_cast<std::size_t>(s) + 1] - u0;
+    const Index u0 = shard_starts[static_cast<std::size_t>(s)];
+    const Index su = shard_starts[static_cast<std::size_t>(s) + 1] - u0;
     const int workers =
         L.devices.empty()
             ? (req.lane_workers > 0 ? req.lane_workers : ThreadPool::global().size())
@@ -248,7 +231,7 @@ struct BandLayout {
   // Channel 2e   (down, tile e -> e+1): writes tile e+1's upper halo.
   // Channel 2e+1 (up, tile e+1 -> e): writes tile e's lower halo units.
   const std::size_t n_chans = tiles > 1 ? static_cast<std::size_t>(2 * (tiles - 1)) : 0;
-  L.chans = sp.group != nullptr ? sp.group->peer_channels(n_chans) : ws.channels(n_chans);
+  L.chans = group != nullptr ? group->peer_channels(n_chans) : ws.channels(n_chans);
   for (int e = 0; e + 1 < tiles; ++e) {
     const Index band_e = L.starts[static_cast<std::size_t>(e) + 1] -
                          L.starts[static_cast<std::size_t>(e)];

@@ -152,6 +152,12 @@ TEST(AutotuneSearch, SeededCandidateRankingIsDeterministic) {
     EXPECT_LE(first[i - 1].predicted_ms, first[i].predicted_ms);
   }
   for (const auto& c : first) EXPECT_GT(c.predicted_ms, 0.0);
+  // Relaunch runs on one pool whatever the shard count: a single candidate.
+  for (const auto& c : first) {
+    EXPECT_FALSE(c.schedule.policy == core::IterationPolicy::kRelaunch &&
+                 c.schedule.shards > 0)
+        << c.schedule.describe();
+  }
 
   // Two independently constructed tuners (same seed) pick the same winner
   // in model-only mode — the search itself carries no hidden state.

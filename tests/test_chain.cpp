@@ -10,6 +10,9 @@
 // an element-wise combine, element-wise map epilogues), grid sizes, tile
 // counts, pool sizes {1,2,4}, and ShardPolicy {single, sharded(2),
 // sharded(0) — the env-resolved device count CI's chain matrix varies}.
+// One more seeded input pins the equivalence the band engine is built on:
+// a chain of k identical linear stages equals k sweeps of the iteration
+// engine, under both policies and at pool sizes {1, 4}.
 //
 // Directed tests pin the edges: depth-1 degradation to the staged path,
 // temporal/plain mixes, dual-vs-separate bitwise equivalence (the
@@ -19,6 +22,7 @@
 // server, and warm-workspace reuse across staged and fused runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -175,6 +179,55 @@ TEST(ChainDifferential, RandomizedFusedMatchesStaged) {
         << " shard="
         << (!shard ? "single" : (c % 4 == 1 ? "sharded(2)" : "sharded(env)"))
         << " grid=" << w << "x" << h;
+  }
+
+  // Iteration is a chain of identical stages: k copies of one linear stage
+  // at temporal depth t must equal k sweeps of the iteration engine at that
+  // t, under both policies and at pool sizes {1, 4}. Own seed range, so the
+  // cases above keep their streams.
+  const int iter_cases = std::max(1, cases / 10);
+  for (int c = 0; c < iter_cases; ++c) {
+    const std::uint64_t seed = seed0 + 0x17e4a000u + static_cast<std::uint64_t>(c);
+    SCOPED_TRACE("identical-stage case seed=" + std::to_string(seed));
+    SplitMix64 rng(seed);
+    const Index w = 33 + static_cast<Index>(rng.next_below(160));
+    const Index h = 40 + static_cast<Index>(rng.next_below(170));
+    const int k = 2 + static_cast<int>(rng.next_below(7));  // {2..8}
+    const int t = 1 + static_cast<int>(rng.next_below(3));  // {1..3}
+    core::StencilShape<float> shape = core::star2d<float>(1);
+    if (t == 1) {
+      shape = random_shape(rng);
+    } else {
+      for (auto& tap : shape.taps) tap.coeff = static_cast<float>(rng.next_in(-0.4, 0.4));
+    }
+    const int tiles = static_cast<int>(rng.next_below(6));  // 0 = auto
+    const std::vector<core::ChainStage<float>> stages(
+        static_cast<std::size_t>(k), core::ChainStage<float>::stencil(shape, t));
+    Grid2D<float> src(w, h);
+    fill_random(src, seed ^ 0x9e3779b9u);
+
+    for (const int pool : {1, 4}) {
+      ThreadPool::reset_global(pool);
+      for (const auto policy :
+           {core::IterationPolicy::kRelaunch, core::IterationPolicy::kPersistent}) {
+        core::PersistentOptions copt;
+        copt.policy = policy;
+        copt.tiles = tiles;
+        Grid2D<float> chained(w, h);
+        (void)core::run_chain2d<float>(sim::tesla_v100(), src, chained, stages, copt);
+
+        core::PersistentOptions iopt = copt;
+        iopt.t = t;
+        Grid2D<float> ia = src, ib(w, h);
+        (void)core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), ia, ib, shape, k,
+                                                        iopt);
+        ASSERT_TRUE(bits_equal(ia.data(), chained.data(),
+                               static_cast<std::size_t>(src.size())))
+            << "k=" << k << " t=" << t << " pool=" << pool
+            << " policy=" << static_cast<int>(policy) << " tiles=" << tiles
+            << " grid=" << w << "x" << h;
+      }
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // The virtual multi-device sharding layer (gpusim/device.hpp +
-// core/shard.hpp + the sharded paths of core/iterate_persistent.hpp).
+// core/shard.hpp + the sharded persistent path of core/iterate_persistent.hpp).
 //
 // The one invariant everything here defends: sharding is a *scheduling*
 // knob, never a results knob. For every shard count, policy, tile count,
@@ -185,62 +185,13 @@ TEST(ShardPolicyInteraction, AllCombinationsBitIdentical2D) {
       const auto stats = core::iterate_stencil2d_persistent<float>(
           sim::tesla_v100(), pa, pb, shape, sweeps, opt);
       EXPECT_EQ(stats.persistent, policy == core::IterationPolicy::kPersistent);
-      EXPECT_TRUE(stats.sharded);
+      // Sharding places persistent tiles only; relaunch runs use one pool.
+      EXPECT_EQ(stats.sharded, policy == core::IterationPolicy::kPersistent);
       ASSERT_TRUE(
           bits_equal(ra.data(), pa.data(), static_cast<std::size_t>(src.size())))
           << "policy=" << static_cast<int>(policy) << " devices=" << devices;
     }
   }
-}
-
-TEST(ShardPolicyInteraction, RelaunchShardingMatchesPersistentSharding3D) {
-  // The satellite contract stated directly: relaunch-mode sharding and
-  // persistent-mode sharding agree bit for bit (both also equal the
-  // unsharded run, via transitivity with the differential suite).
-  const core::StencilShape<float> shape = core::star3d<float>(1);
-  Grid3D<float> src(33, 29, 41);
-  fill_random(src, 73);
-  const int sweeps = 5;
-
-  core::PersistentOptions rel;
-  rel.policy = core::IterationPolicy::kRelaunch;
-  rel.shard = core::ShardPolicy::sharded(3);
-  Grid3D<float> ra = src, rb(src.nx(), src.ny(), src.nz());
-  (void)core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), ra, rb, shape,
-                                                  sweeps, rel);
-
-  core::PersistentOptions per = rel;
-  per.policy = core::IterationPolicy::kPersistent;
-  Grid3D<float> pa = src, pb(src.nx(), src.ny(), src.nz());
-  (void)core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), pa, pb, shape,
-                                                  sweeps, per);
-  ASSERT_TRUE(bits_equal(ra.data(), pa.data(), static_cast<std::size_t>(src.size())));
-}
-
-TEST(ShardPolicyInteraction, ShardedIterateDriversMatchPlainDrivers) {
-  // The iterate-driver face of the shard knob: iterate_stencil{2d,3d}_sharded
-  // must match the plain double-buffered drivers bit for bit.
-  const core::StencilShape<float> s2 = core::star2d<float>(1);
-  Grid2D<float> a2(141, 123), b2(141, 123);
-  fill_random(a2, 101);
-  Grid2D<float> ra2 = a2, rb2 = b2;
-  core::iterate_stencil2d<float>(sim::tesla_v100(), ra2, rb2, s2, 7);
-  const auto st2 = core::iterate_stencil_sharded<float>(sim::tesla_v100(), a2, b2, s2, 7,
-                                                        core::ShardPolicy::sharded(2));
-  EXPECT_TRUE(st2.sharded);
-  EXPECT_FALSE(st2.persistent);
-  ASSERT_TRUE(bits_equal(ra2.data(), a2.data(), static_cast<std::size_t>(a2.size())));
-
-  const core::StencilShape<float> s3 = core::star3d<float>(1);
-  Grid3D<float> a3(27, 31, 37), b3(27, 31, 37);
-  fill_random(a3, 103);
-  Grid3D<float> ra3 = a3, rb3 = b3;
-  core::iterate_stencil3d<float>(sim::tesla_v100(), ra3, rb3, s3, 5);
-  const auto st3 = core::iterate_stencil_sharded<float>(
-      sim::tesla_v100(), a3, b3, s3, 5, core::ShardPolicy::sharded(3),
-      core::Stencil3DOptions{});
-  EXPECT_TRUE(st3.sharded);
-  ASSERT_TRUE(bits_equal(ra3.data(), a3.data(), static_cast<std::size_t>(a3.size())));
 }
 
 TEST(ShardPolicyInteraction, AutoPolicySelectsAndLogsDeterministically) {
@@ -261,11 +212,12 @@ TEST(ShardPolicyInteraction, AutoPolicySelectsAndLogsDeterministically) {
     return std::pair(stats, ::testing::internal::GetCapturedStderr());
   };
 
-  // One sweep cannot amortize residency: auto falls back to relaunch.
+  // One sweep cannot amortize residency: auto falls back to relaunch,
+  // which runs on one pool whatever the shard policy.
   const auto [s1, log1] = run_auto(1);
   EXPECT_FALSE(s1.persistent);
-  EXPECT_TRUE(s1.sharded);
-  EXPECT_NE(log1.find("iterate_stencil2d: policy=auto -> relaunch, shard=sharded("),
+  EXPECT_FALSE(s1.sharded);
+  EXPECT_NE(log1.find("iterate_stencil2d: policy=auto -> relaunch, shard=single"),
             std::string::npos)
       << log1;
 
