@@ -216,11 +216,13 @@ struct ServerRow {
   }
 };
 
-void write_json(const std::vector<ServerRow>& rows, const char* path) {
+/// Writes the rows as JSON; false (after reporting on stderr) when the file
+/// cannot be opened or written.
+bool write_json(const std::vector<ServerRow>& rows, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+    return false;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"server_throughput\",\n");
   std::fprintf(f, "  \"simd_backend\": \"%s\",\n", sim::simd::kBackendName);
@@ -252,8 +254,13 @@ void write_json(const std::vector<ServerRow>& rows, const char* path) {
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
   std::printf("wrote %s\n", path);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +527,7 @@ int main() {
   rows.push_back(saturation(arch));
   rows.push_back(openloop(arch));
   rows.push_back(overload_shed(arch));
-  write_json(rows, "BENCH_server_throughput.json");
+  if (!write_json(rows, "BENCH_server_throughput.json")) return 1;
 
   // Exit code gates determinism only: throughput and latency vary with the
   // host; a server output differing from the direct call never may.

@@ -148,8 +148,7 @@ class ThreadPool {
   /// finished; safe to call from inside a pool task (the caller
   /// participates, see header comment). Loops of at most `chunk` indices —
   /// and every loop when the pool has a single worker — run serially on the
-  /// caller with zero synchronization, which is also the small-grid batching
-  /// fast path of the launch queue.
+  /// caller with zero synchronization.
   template <typename Work>
   void parallel_run(std::int64_t n, std::int64_t chunk, Work&& work) {
     if (n <= 0) return;

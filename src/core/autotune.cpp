@@ -1,6 +1,7 @@
 #include "core/autotune.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +10,8 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -411,7 +414,12 @@ void AutoTuner::save_locked() const {
   if (file.has_parent_path()) {
     std::filesystem::create_directories(file.parent_path(), ec);  // best effort
   }
-  const std::string tmp = path_ + ".tmp";
+  // A temp name unique to this write (pid + process-wide counter): tuners
+  // sharing one path, in this process or another, never rename each
+  // other's half-written file into place.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out.good()) {
@@ -434,9 +442,18 @@ void AutoTuner::save_locked() const {
           << ", \"measured_ms\": " << e.measured_ms << "}";
     }
     out << "\n  ]\n}\n";
+    out.close();
+    if (!out) {  // short write (disk full, I/O error): keep the old cache
+      log_debug("autotune: writing cache file " + tmp + " failed");
+      std::filesystem::remove(tmp, ec);
+      return;
+    }
   }
   std::filesystem::rename(tmp, path_, ec);
-  if (ec) log_debug("autotune: cache rename failed: " + ec.message());
+  if (ec) {
+    log_debug("autotune: cache rename failed: " + ec.message());
+    std::filesystem::remove(tmp, ec);
+  }
 }
 
 void AutoTuner::calibrate_locked(const sim::ArchSpec& arch) {

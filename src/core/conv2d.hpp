@@ -12,13 +12,11 @@
 // Borders replicate (NPP FilterBorder semantics).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/grid.hpp"
 #include "core/kernel_common.hpp"
-#include "gpusim/stream.hpp"
 #include "rcache/blocking.hpp"
 #include "rcache/register_cache.hpp"
 
@@ -38,8 +36,7 @@ struct ConvOptions {
 
 namespace detail {
 
-/// Validated geometry + launch config shared by the sync and async entry
-/// points.
+/// Validated geometry + launch config of one convolution launch.
 struct Conv2dSetup {
   Blocking2D geom;
   sim::LaunchConfig cfg;
@@ -81,8 +78,7 @@ template <typename T>
 }
 
 /// Mode-generic conv2d body. Every capture is by value (views, geometry, the
-/// raw weight pointer) so the identical body serves synchronous launches and
-/// stream ops that outlive the caller's frame.
+/// raw weight pointer).
 template <typename T>
 [[nodiscard]] auto make_conv2d_body(const Conv2dSetup& s, GridView2D<const T> in,
                                     const T* wgt, GridView2D<T> out) {
@@ -146,22 +142,6 @@ KernelStats conv2d_ssam(const sim::ArchSpec& arch, const GridView2D<const T>& in
       detail::conv2d_setup(in, weights.size(), filter_m, filter_n, opt);
   auto body = detail::make_conv2d_body<T>(s, in, weights.data(), out);
   return sim::launch(arch, s.cfg, body, mode, sample);
-}
-
-/// Enqueues the convolution on `stream` and returns immediately. The weights
-/// are copied into the op; `in`/`out` storage (and `arch`) must stay alive
-/// until the stream or returned event is synchronized.
-template <typename T>
-sim::Event conv2d_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                             const GridView2D<const T>& in, std::span<const T> weights,
-                             int filter_m, int filter_n, GridView2D<T> out,
-                             const ConvOptions& opt = {}) {
-  const detail::Conv2dSetup s =
-      detail::conv2d_setup(in, weights.size(), filter_m, filter_n, opt);
-  auto owned = std::make_shared<std::vector<T>>(weights.begin(), weights.end());
-  auto body = detail::make_conv2d_body<T>(s, in, owned->data(), out);
-  return stream.launch(arch, s.cfg,
-                       [owned, body](auto& blk) { body(blk); });
 }
 
 }  // namespace ssam::core

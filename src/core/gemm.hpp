@@ -11,7 +11,6 @@
 #pragma once
 
 #include "core/kernel_common.hpp"
-#include "gpusim/stream.hpp"
 
 namespace ssam::core {
 
@@ -55,7 +54,7 @@ template <typename T>
   return s;
 }
 
-/// Mode-generic GEMM body; views captured by value, stream-safe.
+/// Mode-generic GEMM body; views captured by value.
 template <typename T>
 [[nodiscard]] auto make_gemm_body(const GemmSetup& s, GridView2D<const T> a,
                                   GridView2D<const T> b, GridView2D<T> c) {
@@ -119,15 +118,6 @@ KernelStats gemm_ssam(const sim::ArchSpec& arch, const GridView2D<const T>& a,
   const detail::GemmSetup s = detail::gemm_setup(a, b, c, opt);
   auto body = detail::make_gemm_body<T>(s, a, b, c);
   return sim::launch(arch, s.cfg, body, mode, sample);
-}
-
-/// Enqueues the GEMM on `stream`; A/B/C storage must outlive synchronization.
-template <typename T>
-sim::Event gemm_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                           const GridView2D<const T>& a, const GridView2D<const T>& b,
-                           GridView2D<T> c, const GemmOptions& opt = {}) {
-  const detail::GemmSetup s = detail::gemm_setup(a, b, c, opt);
-  return stream.launch(arch, s.cfg, detail::make_gemm_body<T>(s, a, b, c));
 }
 
 /// Scalar reference for tests.

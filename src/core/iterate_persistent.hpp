@@ -3,7 +3,7 @@
 // arXiv:2204.02064, emulated on the host pool — see gpusim/persistent.hpp
 // for the scheduling substrate).
 //
-// The per-step relaunch drivers (core/iterate.hpp) re-read and re-write the
+// The per-step relaunch model (core/iterate.hpp) re-reads and re-writes the
 // full grids through global memory every time step. The persistent engine
 // instead decomposes the domain into full-width bands (2D: row bands, 3D:
 // z-plane bands), pins each band to one pool worker for the whole run, and

@@ -1,7 +1,7 @@
 // The unified job request API: one typed description of a simulation
 // request, one dispatch path for everyone who runs it.
 //
-// The kernel layers grew nine `*_async` entry points plus two option
+// The kernel layers expose one entry point per kernel plus two option
 // structs (`PersistentOptions`, `ShardPolicy`) — fine for one caller
 // driving one large workload, unusable as the request surface of a
 // multi-tenant service. `SimJob` collapses a request into one value:

@@ -7,12 +7,10 @@
 // block scan via shared memory -> recursive scan of block sums -> offset add.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/kernel_common.hpp"
-#include "gpusim/stream.hpp"
 
 namespace ssam::core {
 
@@ -33,8 +31,7 @@ inline constexpr int kScanBlockThreads = 256;
 
 /// Top-level scan pass: per-block inclusive scan of `src` into `dst`, block
 /// totals into `sums`. Captures raw pointers by value — callers own the
-/// storage (the async wrapper parks shared_ptrs in the op alongside this
-/// body).
+/// storage.
 template <typename T>
 [[nodiscard]] auto make_scan_block_body(const T* src, T* dst, T* sums, Index n,
                                         int warps) {
@@ -142,41 +139,6 @@ std::vector<KernelStats> scan_inclusive(const sim::ArchSpec& arch, std::span<con
     all.push_back(sim::launch(arch, cfg, add_body, mode, sample));
   }
   return all;
-}
-
-/// Enqueues the device-wide scan (all passes, in order) on `stream` and
-/// returns an event for the final pass. Intermediate block-sum buffers are
-/// owned by the ops; `in`/`out` must stay alive until synchronization.
-template <typename T>
-sim::Event scan_inclusive_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                std::span<const T> in, std::span<T> out) {
-  SSAM_REQUIRE(in.size() == out.size(), "scan extent mismatch");
-  SSAM_REQUIRE(!in.empty(), "empty scan");
-  const Index n = static_cast<Index>(in.size());
-  constexpr int kBlockThreads = detail::kScanBlockThreads;
-  const int warps = kBlockThreads / sim::kWarpSize;
-  const long long blocks = ceil_div(n, kBlockThreads);
-
-  auto block_sums = std::make_shared<std::vector<T>>(static_cast<std::size_t>(blocks));
-  const sim::LaunchConfig cfg = detail::scan_config(blocks);
-  auto body = detail::make_scan_block_body<T>(in.data(), out.data(), block_sums->data(),
-                                              n, warps);
-  sim::Event last = stream.launch(
-      arch, cfg, [block_sums, body](auto& blk) { body(blk); });
-
-  if (blocks > 1) {
-    auto scanned_sums =
-        std::make_shared<std::vector<T>>(static_cast<std::size_t>(blocks));
-    // The recursive passes enqueue in stream order, so they see the block
-    // sums the first pass wrote.
-    scan_inclusive_async<T>(stream, arch, {block_sums->data(), block_sums->size()},
-                            {scanned_sums->data(), scanned_sums->size()});
-    auto add_body = detail::make_scan_add_body<T>(scanned_sums->data(), out.data(), n);
-    last = stream.launch(arch, cfg, [block_sums, scanned_sums, add_body](auto& blk) {
-      add_body(blk);
-    });
-  }
-  return last;
 }
 
 }  // namespace ssam::core

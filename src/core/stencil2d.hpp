@@ -12,7 +12,6 @@
 #include "core/dgraph.hpp"
 #include "core/kernel_common.hpp"
 #include "core/stencil_shape.hpp"
-#include "gpusim/stream.hpp"
 #include "rcache/blocking.hpp"
 #include "rcache/register_cache.hpp"
 
@@ -29,8 +28,7 @@ struct StencilOptions {
 
 namespace detail {
 
-/// Validated geometry + launch config shared by the sync and async entry
-/// points.
+/// Validated geometry + launch config of one stencil sweep.
 struct Stencil2dSetup {
   Blocking2D geom;
   sim::LaunchConfig cfg;
@@ -74,7 +72,7 @@ template <typename T>
 }
 
 /// Mode-generic stencil body. The column pass is captured *by value* (it
-/// owns its tap vectors) so the body is self-contained for stream ops.
+/// owns its tap vectors) so the body is self-contained.
 template <typename T>
 [[nodiscard]] auto make_stencil2d_body(const Stencil2dSetup& s, GridView2D<const T> in,
                                        ColumnPass<T> pass, GridView2D<T> out) {
@@ -138,25 +136,6 @@ KernelStats stencil2d_ssam(const sim::ArchSpec& arch, const GridView2D<const T>&
                            const StencilOptions& opt = {},
                            ExecMode mode = ExecMode::kFunctional, SampleSpec sample = {}) {
   return stencil2d_ssam(arch, in, build_plan(shape.taps), out, opt, mode, sample);
-}
-
-/// Enqueues one stencil sweep on `stream` and returns immediately. The plan's
-/// column pass is copied into the op; `in`/`out` storage (and `arch`) must
-/// stay alive until the stream or returned event is synchronized.
-template <typename T>
-sim::Event stencil2d_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                const GridView2D<const T>& in, const SystolicPlan<T>& plan,
-                                GridView2D<T> out, const StencilOptions& opt = {}) {
-  const detail::Stencil2dSetup s = detail::stencil2d_setup(in, plan, opt);
-  auto body = detail::make_stencil2d_body<T>(s, in, plan.passes.front(), out);
-  return stream.launch(arch, s.cfg, std::move(body));
-}
-
-template <typename T>
-sim::Event stencil2d_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                const GridView2D<const T>& in, const StencilShape<T>& shape,
-                                GridView2D<T> out, const StencilOptions& opt = {}) {
-  return stencil2d_ssam_async(stream, arch, in, build_plan(shape.taps), out, opt);
 }
 
 }  // namespace ssam::core

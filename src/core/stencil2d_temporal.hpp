@@ -64,7 +64,7 @@ template <typename T>
 }
 
 /// Mode-generic temporal body; all captures by value (pass owns its taps) so
-/// the body is stream-safe.
+/// the body is self-contained.
 template <typename T>
 [[nodiscard]] auto make_stencil2d_temporal_body(const Stencil2dSetup& s,
                                                 GridView2D<const T> in, ColumnPass<T> pass,
@@ -147,26 +147,6 @@ KernelStats stencil2d_ssam_temporal(const sim::ArchSpec& arch,
                                     ExecMode mode = ExecMode::kFunctional,
                                     SampleSpec sample = {}) {
   return stencil2d_ssam_temporal(arch, in, build_plan(shape.taps), out, opt, mode, sample);
-}
-
-/// Enqueues the temporally-blocked sweep (t fused steps) on `stream`.
-template <typename T>
-sim::Event stencil2d_ssam_temporal_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                         const GridView2D<const T>& in,
-                                         const SystolicPlan<T>& plan, GridView2D<T> out,
-                                         const TemporalSsamOptions& opt = {}) {
-  const detail::Stencil2dSetup s = detail::stencil2d_temporal_setup(in, plan, opt);
-  auto body = detail::make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), opt.t,
-                                                      plan.rows_halo(), out);
-  return stream.launch(arch, s.cfg, std::move(body));
-}
-
-template <typename T>
-sim::Event stencil2d_ssam_temporal_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                         const GridView2D<const T>& in,
-                                         const StencilShape<T>& shape, GridView2D<T> out,
-                                         const TemporalSsamOptions& opt = {}) {
-  return stencil2d_ssam_temporal_async(stream, arch, in, build_plan(shape.taps), out, opt);
 }
 
 }  // namespace ssam::core

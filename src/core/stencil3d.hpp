@@ -16,7 +16,6 @@
 #include "core/dgraph.hpp"
 #include "core/kernel_common.hpp"
 #include "core/stencil_shape.hpp"
-#include "gpusim/stream.hpp"
 #include "rcache/blocking.hpp"
 #include "rcache/register_cache.hpp"
 
@@ -37,10 +36,9 @@ inline constexpr int kMaxBlockRegRows = 320;
 
 namespace detail {
 
-/// Validated geometry, launch config, and *owned* pass schedule shared by
-/// the sync and async entry points. Owning copies of the passes (rather
-/// than pointers into the caller's plan) is what makes the body
-/// stream-safe.
+/// Validated geometry, launch config, and *owned* pass schedule of one 3D
+/// sweep. Owning copies of the passes (rather than pointers into the
+/// caller's plan) make the body self-contained.
 template <typename T>
 struct Stencil3dSetup {
   Blocking2D geom;
@@ -239,17 +237,6 @@ KernelStats stencil3d_ssam(const sim::ArchSpec& arch, const GridView3D<const T>&
                            const Stencil3DOptions& opt = {},
                            ExecMode mode = ExecMode::kFunctional, SampleSpec sample = {}) {
   return stencil3d_ssam(arch, in, build_plan(shape.taps), out, opt, mode, sample);
-}
-
-/// Enqueues the 3D stencil sweep on `stream`; the pass schedule is copied
-/// into the op, `in`/`out` storage must outlive synchronization.
-template <typename T>
-sim::Event stencil3d_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
-                                const GridView3D<const T>& in, const SystolicPlan<T>& plan,
-                                GridView3D<T> out, const Stencil3DOptions& opt = {}) {
-  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(in, plan, opt);
-  const sim::LaunchConfig cfg = s.cfg;
-  return stream.launch(arch, cfg, detail::make_stencil3d_body<T>(std::move(s), in, out));
 }
 
 }  // namespace ssam::core

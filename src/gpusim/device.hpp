@@ -9,8 +9,8 @@
 //  * a ThreadPool slice (its own worker threads, optionally pinned to a
 //    disjoint core range so shards never migrate across each other),
 //  * a workspace arena for its shard's residence buffers,
-//  * a stream set whose drains and block fan-out run on the device's pool
-//    only (ops routed to one device never occupy another device's slice),
+//  * a stream set whose drains run on the device's pool only (ops routed
+//    to one device never occupy another device's slice),
 //  * traffic counters (band sweeps, halo bytes, seam crossings).
 //
 // A `DeviceGroup` holds N such devices plus the *peer channels* between
@@ -121,8 +121,8 @@ class Device {
   [[nodiscard]] DeviceCounters& counters() { return counters_; }
 
   /// The device's stream set, grown lazily; `stream(0)` is the default
-  /// stream. Streams are bound to the device pool: their drains and their
-  /// launches' block fan-out run on this device's workers only.
+  /// stream. Streams are bound to the device pool: their drains run on this
+  /// device's workers only.
   [[nodiscard]] Stream& stream(std::size_t i = 0);
   [[nodiscard]] std::size_t stream_count() const;
 

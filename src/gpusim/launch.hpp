@@ -7,9 +7,9 @@
 //    state at all: the block/warp contexts contain no scoreboards or
 //    counters, and one pooled BlockContext per pool worker persists across
 //    *all* launches in the process (`reset()` per block, `rebind()` per
-//    launch — never reconstructed on the hot path). Used by tests, examples
-//    and the async stream API (gpusim/stream.hpp) to produce full,
-//    verifiable outputs as fast as the host allows.
+//    launch — never reconstructed on the hot path). Used by tests, examples,
+//    the band engine and the job server to produce full, verifiable outputs
+//    as fast as the host allows.
 //  * Timing — a deterministic sample of blocks executes sequentially with
 //    caches and scoreboards live. Regular kernels do identical work per
 //    block, so per-block statistics extrapolate to the full grid; samples
@@ -54,10 +54,9 @@ struct SampleSpec {
 /// mode. The functional specialization is pure compute state (warp vector +
 /// shared-memory arena) and is designed for reuse: `reset(id)` re-targets
 /// the same context at another block without touching the heap, and
-/// `rebind()` re-targets it at another *launch* entirely — the launch queue
-/// keeps one context per pool worker alive across all launches in the
-/// process (the config is stored by value so no launch-local state is
-/// referenced).
+/// `rebind()` re-targets it at another *launch* entirely — one context per
+/// pool worker stays alive across all launches in the process (the config
+/// is stored by value so no launch-local state is referenced).
 template <ExecMode M>
 class BlockContextT {
  public:
@@ -200,7 +199,7 @@ namespace detail {
 /// Per-thread cache of pooled functional contexts: one `BlockContext` per
 /// pool worker, persistent across *all* launches in the process. Keyed by
 /// (block_threads, shared-memory capacity) with a handful of LRU entries so
-/// interleaved streams launching kernels of different block shapes don't
+/// interleaved launches of kernels with different block shapes don't
 /// thrash context reconstruction.
 class FunctionalContextCache {
  public:
@@ -247,9 +246,8 @@ inline constexpr std::int64_t kFunctionalChunkBlocks = 16;
 /// the global one for ordinary launches, a virtual device's pool slice for
 /// device-routed work (gpusim/device.hpp). Each participating thread
 /// fetches its pooled context once and `reset()`s it per block. Grids of at
-/// most one chunk — the launch queue's small-grid batch path — run inline
-/// on the calling thread with zero synchronization (see
-/// ThreadPool::parallel_run).
+/// most one chunk run inline on the calling thread with zero
+/// synchronization (see ThreadPool::parallel_run).
 template <typename Body>
 void run_functional_grid_on(ThreadPool& pool, const ArchSpec& arch,
                             const LaunchConfig& cfg, Body& body) {

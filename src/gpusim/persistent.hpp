@@ -1,7 +1,7 @@
 // Persistent-execution substrate: the scheduling and communication layer of
 // the cross-iteration tile-residency engine (core/iterate_persistent.hpp).
 //
-// The per-step relaunch model (one `launch` or stream op per time step)
+// The per-step relaunch model (one `launch` per time step)
 // round-trips the full working set through the global arrays between steps.
 // The persistent model instead emulates a PERKS-style persistent kernel
 // (Zhang et al., arXiv:2204.02064) on the host pool: every tile of the

@@ -1,6 +1,7 @@
 #include "gpusim/stream.hpp"
 
 #include <atomic>
+#include <deque>
 #include <thread>
 
 namespace ssam::sim {
@@ -15,8 +16,8 @@ void EventState::signal() {
     ks.swap(continuations);
     cv.notify_all();
   }
-  // Continuations run outside the lock: they typically reschedule a stream
-  // drain, which takes other locks.
+  // Continuations run outside the lock: they may take other locks (the
+  // server's completion path) or destroy the stream that signalled.
   for (auto& k : ks) k();
 }
 
@@ -48,57 +49,20 @@ void EventState::on_ready(std::function<void()> k) {
 
 }  // namespace detail
 
-// ----------------------------------------------------------- LaunchQueue
-
-LaunchQueue& LaunchQueue::global() {
-  static LaunchQueue q;
-  return q;
-}
-
-std::uint64_t LaunchQueue::ops_enqueued() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return enqueued_;
-}
-
-std::uint64_t LaunchQueue::ops_completed() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return completed_;
-}
-
-void LaunchQueue::note_enqueued() {
-  std::lock_guard<std::mutex> lock(m_);
-  ++enqueued_;
-}
-
-void LaunchQueue::note_completed() {
-  std::lock_guard<std::mutex> lock(m_);
-  ++completed_;
-  if (completed_ == enqueued_) cv_.notify_all();
-}
-
-void LaunchQueue::quiesce() {
-  std::unique_lock<std::mutex> lock(m_);
-  cv_.wait(lock, [&] { return completed_ == enqueued_; });
-}
-
 // ---------------------------------------------------------------- Stream
 
 struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
   struct Op {
-    std::function<void()> run;                 ///< empty for pure event ops
+    std::function<void()> run;
     std::shared_ptr<detail::EventState> done;  ///< signalled after run
-    std::shared_ptr<detail::EventState> dep;   ///< must signal before run
   };
 
-  explicit Impl(ThreadPool* p) : pool(p) {}
+  explicit Impl(ThreadPool& p) : pool(p) {}
 
-  /// Where drains run: a device's slice, or — when null — the *current*
-  /// global pool, resolved per schedule so default streams stay valid
-  /// across ThreadPool::reset_global.
-  ThreadPool* pool;
+  ThreadPool& pool;  ///< where drains run
   std::mutex m;
   std::deque<Op> q;
-  bool active = false;  ///< a drain is scheduled, running, or parked on a dep
+  bool active = false;  ///< a drain is scheduled or running
   std::condition_variable idle_cv;
   /// The thread currently inside drain(), or a default id. Lets
   /// synchronize() detect re-entry from this stream's own drain — an op
@@ -108,12 +72,10 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
 
   void schedule() {
     auto self = shared_from_this();
-    (pool != nullptr ? *pool : ThreadPool::global()).submit([self] { self->drain(); });
+    pool.submit([self] { self->drain(); });
   }
 
-  /// Runs queued ops in order until the queue empties or the head op's
-  /// dependency is unsignalled — in which case a continuation on that event
-  /// reschedules the drain and this worker is released.
+  /// Runs queued ops in order until the queue empties.
   void drain() {
     drainer.store(std::this_thread::get_id(), std::memory_order_relaxed);
     for (;;) {
@@ -126,45 +88,27 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
           idle_cv.notify_all();
           return;
         }
-        Op& head = q.front();
-        if (head.dep != nullptr && !head.dep->ready()) {
-          // Park on the dependency; `active` stays true so enqueues don't
-          // double-schedule a drain.
-          auto dep = std::move(head.dep);
-          head.dep = nullptr;
-          lock.unlock();
-          drainer.store(std::thread::id{}, std::memory_order_relaxed);
-          auto self = shared_from_this();
-          dep->on_ready([self] { self->schedule(); });
-          return;
-        }
         op = std::move(q.front());
         q.pop_front();
       }
-      if (op.run) op.run();
+      op.run();
       // signal() runs `on_ready` continuations inline on this thread; one
       // of them may destroy the owning Stream (see Stream::synchronize).
       op.done->signal();
-      LaunchQueue::global().note_completed();
     }
   }
 };
 
-Stream::Stream() : impl_(std::make_shared<Impl>(nullptr)) {}
-
-Stream::Stream(ThreadPool& pool)
-    : impl_(std::make_shared<Impl>(&pool)), pool_(&pool) {}
+Stream::Stream(ThreadPool& pool) : impl_(std::make_shared<Impl>(pool)) {}
 
 Stream::~Stream() { synchronize(); }
 
-Event Stream::enqueue(std::function<void()> run,
-                      std::shared_ptr<detail::EventState> dep) {
+Event Stream::host(std::function<void()> fn) {
   auto done = std::make_shared<detail::EventState>();
-  LaunchQueue::global().note_enqueued();
   bool need_schedule = false;
   {
     std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->q.push_back(Impl::Op{std::move(run), done, std::move(dep)});
+    impl_->q.push_back(Impl::Op{std::move(fn), done});
     if (!impl_->active) {
       impl_->active = true;
       need_schedule = true;
@@ -173,15 +117,6 @@ Event Stream::enqueue(std::function<void()> run,
   if (need_schedule) impl_->schedule();
   return Event(std::move(done));
 }
-
-Event Stream::host(std::function<void()> fn) { return enqueue(std::move(fn), nullptr); }
-
-void Stream::wait(const Event& ev) {
-  if (ev.state_ == nullptr) return;  // default events are already signalled
-  (void)enqueue({}, ev.state_);
-}
-
-Event Stream::record() { return enqueue({}, nullptr); }
 
 void Stream::synchronize() {
   // Re-entry from this stream's own drain (op body or event continuation

@@ -1,34 +1,24 @@
-// Asynchronous kernel-launch queue: CUDA-style streams and events on the
-// persistent host thread pool.
+// In-order host-work queues on a thread pool: the dispatch substrate of the
+// job server (core/server.hpp).
 //
-// A `Stream` is an in-order work queue. `Stream::launch` enqueues a
-// functional-mode kernel and returns immediately; ops on one stream execute
-// FIFO, ops on different streams overlap across pool workers. `Event`s
-// order work *between* streams (record on one, wait on another) and let the
-// host block on a specific op. The `LaunchQueue` is the process-wide
-// service behind every stream: it tracks in-flight ops and can quiesce the
-// whole process.
+// A `Stream` is a FIFO of host ops bound to one pool — a virtual device's
+// slice (gpusim/device.hpp) or the global pool. `Stream::host` enqueues an
+// op and returns immediately; ops on one stream execute in order, ops on
+// different streams overlap across pool workers. Each op signals an `Event`
+// the host can block on (optionally with a timeout) or attach a completion
+// continuation to.
 //
-// Scheduling: each stream drains itself with a single "drain" task on the
+// Scheduling: each stream drains itself with a single "drain" task on its
 // pool, so at most one op per stream runs at a time (stream order), while
-// the blocks *inside* an op fan out over all workers via
-// detail::run_functional_grid. A drain blocked on an unsignalled event does
-// not occupy a worker — it parks a continuation on the event and
-// reschedules when the event fires, so dependency chains make progress even
-// on a one-worker pool. Consecutive small-grid launches batch: the drain
-// executes them back-to-back on one worker without fork/join (see
-// ThreadPool::parallel_run's serial fast path).
+// any parallel work *inside* an op fans out over the pool as usual.
 //
-// Lifetime rules (as with CUDA async APIs): buffers and the ArchSpec
-// referenced by an async launch must stay alive until the stream (or the
-// returned event) is synchronized. Kernel wrappers' `_async` entry points
-// copy small launch-local state (weights, plans) into the op for you.
+// Lifetime: a stream may be destroyed from one of its own ops or event
+// continuations (the server's completion path does this); the ops still
+// queued behind the destroyed handle run to completion.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -36,7 +26,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "gpusim/launch.hpp"
 
 namespace ssam::sim {
 
@@ -81,11 +70,11 @@ class Event {
 
   /// Runs `fn` once the event has signalled — immediately on the calling
   /// thread if it already has, otherwise on the thread that signals the
-  /// event (the pool worker draining the recording stream). This is how
-  /// job futures complete without a blocked waiter (core/server.hpp).
-  /// `fn` must not block; it may destroy the recording Stream — the
-  /// stream's destructor detects destruction from its own drain and the
-  /// remaining queued ops still run to completion.
+  /// event (the pool worker draining the stream). This is how job futures
+  /// complete without a blocked waiter (core/server.hpp). `fn` must not
+  /// block; it may destroy the Stream the op ran on — the stream's
+  /// destructor detects destruction from its own drain and the remaining
+  /// queued ops still run to completion.
   void on_ready(std::function<void()> fn) const {
     if (state_ == nullptr) {
       fn();
@@ -100,41 +89,12 @@ class Event {
   std::shared_ptr<detail::EventState> state_;
 };
 
-/// The process-wide execution service behind all streams: owns no threads
-/// itself (work runs on ThreadPool::global()) but tracks every enqueued op
-/// so the whole process can be quiesced and traffic can be observed.
-class LaunchQueue {
- public:
-  [[nodiscard]] static LaunchQueue& global();
-
-  [[nodiscard]] ThreadPool& pool() const { return ThreadPool::global(); }
-
-  [[nodiscard]] std::uint64_t ops_enqueued() const;
-  [[nodiscard]] std::uint64_t ops_completed() const;
-
-  /// Blocks until every op enqueued on any stream has completed.
-  void quiesce();
-
-  // Internal accounting, called by Stream.
-  void note_enqueued();
-  void note_completed();
-
- private:
-  mutable std::mutex m_;
-  std::condition_variable cv_;
-  std::uint64_t enqueued_ = 0;
-  std::uint64_t completed_ = 0;
-};
-
-/// An in-order asynchronous work queue (cudaStream-like).
+/// An in-order asynchronous host-work queue (cudaStream-like).
 class Stream {
  public:
-  Stream();
-  /// A stream bound to an explicit pool: its drains run on `pool`'s workers
-  /// and its kernel launches fan blocks out over `pool` instead of the
-  /// global one. This is how a virtual device (gpusim/device.hpp) owns a
-  /// stream set — ops routed to a device never occupy another device's
-  /// slice. `pool` must outlive the stream.
+  /// A stream whose drains run on `pool`'s workers. This is how a virtual
+  /// device (gpusim/device.hpp) owns a stream set — ops routed to a device
+  /// never occupy another device's slice. `pool` must outlive the stream.
   explicit Stream(ThreadPool& pool);
   ~Stream();  ///< synchronizes before destruction
 
@@ -146,31 +106,8 @@ class Stream {
   Stream(Stream&&) = delete;
   Stream& operator=(Stream&&) = delete;
 
-  /// Enqueues a functional-mode kernel launch and returns immediately. The
-  /// body is copied into the op; it executes with per-worker pooled block
-  /// contexts exactly like a synchronous functional `sim::launch`.
-  template <typename Body>
-  Event launch(const ArchSpec& arch, const LaunchConfig& cfg, Body body) {
-    SSAM_REQUIRE(cfg.grid.count() > 0, "empty grid");
-    SSAM_REQUIRE(cfg.block_threads > 0 && cfg.block_threads % kWarpSize == 0,
-                 "block size must be a positive warp multiple");
-    return enqueue(
-        [pool = pool_, arch_ptr = &arch, cfg, body = std::move(body)]() mutable {
-          detail::run_functional_grid_on(pool != nullptr ? *pool : ThreadPool::global(),
-                                         *arch_ptr, cfg, body);
-        },
-        nullptr);
-  }
-
-  /// Enqueues arbitrary host work in stream order (glue between the passes
-  /// of multi-kernel algorithms).
+  /// Enqueues host work in stream order; the event signals once it ran.
   Event host(std::function<void()> fn);
-
-  /// Orders all later ops on this stream after `ev`.
-  void wait(const Event& ev);
-
-  /// Returns an event that signals when all currently enqueued ops finish.
-  Event record();
 
   /// Blocks the calling thread until the stream is empty and idle. Called
   /// from inside this stream's own drain (an op body, or an `Event`
@@ -181,9 +118,7 @@ class Stream {
 
  private:
   struct Impl;
-  Event enqueue(std::function<void()> run, std::shared_ptr<detail::EventState> dep);
   std::shared_ptr<Impl> impl_;
-  ThreadPool* pool_ = nullptr;  ///< the pool this stream's work runs on
 };
 
 }  // namespace ssam::sim

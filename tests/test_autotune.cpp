@@ -3,12 +3,17 @@
 // determinism of the model-ranked candidate search.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -241,6 +246,93 @@ TEST(AutotuneCache, MalformedCacheFileStartsEmptyAndRecovers) {
   // The rewritten file must now parse as a valid cache.
   core::AutoTuner fresh(topt);
   EXPECT_EQ(fresh.resolve(arch, job).origin, core::TuneOrigin::kCacheHit);
+}
+
+/// The whole file, or "" when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// True when `body` is one complete cache file as save_locked writes it.
+[[nodiscard]] bool complete_cache_file(const std::string& body) {
+  const std::string head = "{\n  \"version\": 1,";
+  const std::string tail = "\n  ]\n}\n";
+  return body.size() >= head.size() + tail.size() && body.rfind(head, 0) == 0 &&
+         body.compare(body.size() - tail.size(), tail.size(), tail) == 0;
+}
+
+TEST(AutotuneCache, ConcurrentTunersSharingOnePathNeverPublishTornFiles) {
+  // Several tuners on one cache path resolve disjoint jobs from their own
+  // threads; every miss rewrites the file. Each write goes through its own
+  // temp file, so the file a reader sees is always one writer's complete
+  // cache, and afterwards a fresh tuner finds every entry of the writer
+  // that renamed last (its final write holds all of its own jobs).
+  const std::string path = scratch_cache("ssam_tune_concurrent.json");
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const auto is_temp = [](const std::filesystem::directory_entry& e) {
+    return e.path().filename().string().rfind("ssam_tune_concurrent.json.tmp", 0) == 0;
+  };
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (is_temp(entry)) std::filesystem::remove(entry.path());
+  }
+  constexpr std::size_t kTuners = 4;
+  constexpr int kRounds = 48;
+  core::TunerOptions topt;
+  topt.cache_path = path;
+  topt.top_k = 0;
+  const sim::ArchSpec arch = sim::tesla_v100();
+
+  // One grid pair per tuner: the job key carries the grid shape, so the
+  // tuners' keys are disjoint; step count r + 1 makes every round a miss.
+  std::vector<std::unique_ptr<Grid2D<float>>> grids;
+  std::vector<std::unique_ptr<core::AutoTuner>> tuners;
+  for (std::size_t i = 0; i < kTuners; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      grids.push_back(std::make_unique<Grid2D<float>>(64 + 16 * static_cast<Index>(i), 64));
+    }
+    tuners.push_back(std::make_unique<core::AutoTuner>(topt));
+    (void)tuners.back()->model(arch);  // calibrate serially, off the race
+  }
+  const auto job = [&](std::size_t i, int r) {
+    return star_job(*grids[2 * i], *grids[2 * i + 1], r + 1);
+  };
+
+  std::atomic<bool> writing{true};
+  int torn_reads = 0;
+  std::thread reader([&] {
+    while (writing.load()) {
+      const std::string body = read_file(path);
+      if (!body.empty() && !complete_cache_file(body)) ++torn_reads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::size_t i = 0; i < kTuners; ++i) {
+    writers.emplace_back([&, i] {
+      for (int r = 0; r < kRounds; ++r) (void)tuners[i]->resolve(arch, job(i, r));
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writing.store(false);
+  reader.join();
+
+  EXPECT_EQ(torn_reads, 0);
+  EXPECT_TRUE(complete_cache_file(read_file(path)));
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_FALSE(is_temp(entry)) << "leftover temp file " << entry.path();
+  }
+  core::AutoTuner fresh(topt);
+  int complete_writers = 0;
+  for (std::size_t i = 0; i < kTuners; ++i) {
+    int hits = 0;
+    for (int r = 0; r < kRounds; ++r) {
+      if (fresh.resolve(arch, job(i, r)).origin == core::TuneOrigin::kCacheHit) ++hits;
+    }
+    if (hits == kRounds) ++complete_writers;
+  }
+  EXPECT_GE(complete_writers, 1);
 }
 
 TEST(AutotuneSchedule, DescribeNamesEveryKnob) {

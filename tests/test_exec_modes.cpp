@@ -245,9 +245,9 @@ TEST(FunctionalAllocations, SteadyStateIsAllocationFree) {
   const long long large = allocations_during_conv2d(arch, large_in, large_out, weights);
   // Per-launch allocation must not scale with the block count: the blocks
   // execute in pooled per-worker contexts. What remains is the fixed
-  // dispatch overhead of the launch queue (one loop state plus up to one
-  // helper task per pool worker), which is bounded by the pool size — 8x
-  // the blocks may not add more than that.
+  // dispatch overhead of the pool's parallel loop (one loop state plus up
+  // to one helper task per pool worker), which is bounded by the pool size
+  // — 8x the blocks may not add more than that.
   const long long per_launch_dispatch_bound =
       4 * ssam::ThreadPool::global().size() + 4;
   EXPECT_LE(large - small, per_launch_dispatch_bound);

@@ -1,32 +1,27 @@
-// The execution service: work-stealing pool, launch queue, streams, events.
+// The execution service: work-stealing pool, streams, events.
 //
-// Pins the contracts the async refactor relies on:
+// Pins the contracts the job server relies on:
 //  * functional results are bit-identical across pool sizes (1, 4, and the
 //    machine's hardware_concurrency) for scan, conv2d and the temporal
 //    stencil — block scheduling must never leak into results;
-//  * async launches match their synchronous counterparts bit for bit;
-//  * stream FIFO order and cross-stream event dependencies are honored
-//    under stress (interleaved streams sharing an event-ordered buffer);
+//  * host ops on a stream run in FIFO order, and a stream may be destroyed
+//    from its own completion callback without losing queued ops;
 //  * the pool parallel loops behave (caller participation, nesting, empty
 //    and tiny ranges).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/conv2d.hpp"
-#include "core/iterate.hpp"
 #include "core/scan.hpp"
-#include "core/stencil2d.hpp"
 #include "core/stencil2d_temporal.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
@@ -155,57 +150,8 @@ TEST(PoolDeterminism, TemporalStencilBitIdenticalAcrossPoolSizes) {
 
 // ------------------------------------------------------- streams and events
 
-TEST(StreamTest, AsyncConv2dMatchesSync) {
-  const auto& arch = sim::tesla_v100();
-  Grid2D<float> in(333, 190);
-  fill_random(in, 17);
-  const std::vector<float> weights(3 * 3, 0.11f);
-  Grid2D<float> sync_out(in.width(), in.height());
-  (void)core::conv2d_ssam<float>(arch, in.cview(), weights, 3, 3, sync_out.view());
-
-  Grid2D<float> async_out(in.width(), in.height());
-  sim::Stream stream;
-  sim::Event done = core::conv2d_ssam_async<float>(stream, arch, in.cview(), weights, 3,
-                                                   3, async_out.view());
-  done.wait();
-  EXPECT_EQ(0, std::memcmp(sync_out.data(), async_out.data(),
-                           static_cast<std::size_t>(sync_out.size()) * sizeof(float)));
-}
-
-TEST(StreamTest, AsyncScanMatchesSyncIncludingRecursivePasses) {
-  const auto& arch = sim::tesla_v100();
-  std::vector<float> in(1 << 17);  // > 1 block and > 1 recursion level
-  SplitMix64 rng(23);
-  for (auto& v : in) v = static_cast<float>(rng.next_in(-1.0, 1.0));
-  std::vector<float> sync_out(in.size());
-  (void)core::scan_inclusive<float>(arch, in, sync_out);
-
-  std::vector<float> async_out(in.size());
-  sim::Stream stream;
-  core::scan_inclusive_async<float>(stream, arch, in, async_out);
-  stream.synchronize();
-  EXPECT_EQ(0, std::memcmp(sync_out.data(), async_out.data(),
-                           sync_out.size() * sizeof(float)));
-}
-
-TEST(StreamTest, FifoOrderChainsDependentKernels) {
-  const auto& arch = sim::tesla_v100();
-  const int steps = 6;
-  const core::StencilShape<float> shape = core::star2d<float>(1);
-  Grid2D<float> a(193, 97), b(193, 97);
-  fill_random(a, 29);
-  Grid2D<float> ref_a = a, ref_b = b;
-  core::iterate_stencil2d<float>(arch, ref_a, ref_b, shape, steps);
-
-  sim::Stream stream;
-  core::iterate_stencil2d_async<float>(stream, arch, a, b, shape, steps);
-  stream.synchronize();
-  EXPECT_EQ(0, std::memcmp(a.data(), ref_a.data(),
-                           static_cast<std::size_t>(a.size()) * sizeof(float)));
-}
-
 TEST(StreamTest, HostOpsRunInStreamOrder) {
-  sim::Stream stream;
+  sim::Stream stream(ThreadPool::global());
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
     stream.host([&order, i] { order.push_back(i); });
@@ -219,92 +165,11 @@ TEST(StreamTest, DefaultEventIsSignalled) {
   sim::Event ev;
   EXPECT_TRUE(ev.ready());
   ev.wait();  // must not block
-  sim::Stream stream;
-  stream.wait(ev);  // must not wedge the stream
+  sim::Stream stream(ThreadPool::global());
   int ran = 0;
   stream.host([&ran] { ran = 1; });
   stream.synchronize();
   EXPECT_EQ(ran, 1);
-}
-
-TEST(StreamTest, CrossStreamEventOrdersProducerConsumer) {
-  PoolSizeGuard guard;
-  for (int workers : {1, 4}) {  // dependency chains must progress even 1-wide
-    ThreadPool::reset_global(workers);
-    const auto& arch = sim::tesla_v100();
-    Grid2D<float> in(128, 64), mid(128, 64), out(128, 64);
-    fill_random(in, 31);
-    const std::vector<float> w1(3 * 3, 0.2f);
-    const std::vector<float> w2(5 * 5, 0.05f);
-
-    Grid2D<float> ref_mid(128, 64), ref_out(128, 64);
-    (void)core::conv2d_ssam<float>(arch, in.cview(), w1, 3, 3, ref_mid.view());
-    (void)core::conv2d_ssam<float>(arch, ref_mid.cview(), w2, 5, 5, ref_out.view());
-
-    sim::Stream producer, consumer;
-    (void)core::conv2d_ssam_async<float>(producer, arch, in.cview(), w1, 3, 3,
-                                         mid.view());
-    const sim::Event ready = producer.record();
-    consumer.wait(ready);
-    (void)core::conv2d_ssam_async<float>(consumer, arch, mid.cview(), w2, 5, 5,
-                                         out.view());
-    consumer.synchronize();
-    producer.synchronize();
-    EXPECT_EQ(0, std::memcmp(out.data(), ref_out.data(),
-                             static_cast<std::size_t>(out.size()) * sizeof(float)))
-        << "pool size " << workers;
-  }
-}
-
-TEST(StreamTest, InterleavedStreamStressWithSharedEvents) {
-  // Two streams ping-pong a buffer chain through shared events for many
-  // rounds of small (batched) grids; any ordering violation corrupts the
-  // final field. Run at 1 and 4 workers to cover the parked-dependency and
-  // the overlapping schedule.
-  PoolSizeGuard guard;
-  for (int workers : {1, 4}) {
-    ThreadPool::reset_global(workers);
-    const auto& arch = sim::tesla_v100();
-    const int rounds = 12;
-    const core::SystolicPlan<float> plan = core::build_plan(core::star2d<float>(1).taps);
-    Grid2D<float> x(96, 48), y(96, 48);
-    fill_random(x, 37);
-    Grid2D<float> ref_x = x, ref_y = y;
-    for (int r = 0; r < 2 * rounds; ++r) {
-      (void)core::stencil2d_ssam<float>(arch, ref_x.cview(), plan, ref_y.view());
-      std::swap(ref_x, ref_y);
-    }
-
-    sim::Stream even, odd;
-    sim::Event prev;
-    for (int r = 0; r < rounds; ++r) {
-      even.wait(prev);
-      (void)core::stencil2d_ssam_async<float>(even, arch, x.cview(), plan, y.view());
-      const sim::Event e1 = even.record();
-      odd.wait(e1);
-      (void)core::stencil2d_ssam_async<float>(odd, arch, y.cview(), plan, x.view());
-      prev = odd.record();
-    }
-    prev.wait();
-    even.synchronize();
-    odd.synchronize();
-    EXPECT_EQ(0, std::memcmp(x.data(), ref_x.data(),
-                             static_cast<std::size_t>(x.size()) * sizeof(float)))
-        << "pool size " << workers;
-  }
-}
-
-TEST(LaunchQueueTest, TracksTrafficAndQuiesces) {
-  const std::uint64_t before = sim::LaunchQueue::global().ops_enqueued();
-  {
-    sim::Stream stream;
-    for (int i = 0; i < 10; ++i) stream.host([] {});
-    stream.synchronize();
-  }
-  sim::LaunchQueue::global().quiesce();
-  EXPECT_GE(sim::LaunchQueue::global().ops_enqueued(), before + 10);
-  EXPECT_EQ(sim::LaunchQueue::global().ops_enqueued(),
-            sim::LaunchQueue::global().ops_completed());
 }
 
 // ------------------------------------------- stream destruction under churn
@@ -321,64 +186,16 @@ TEST(StreamChurnTest, DestroyStreamFromOwnCompletionCallback) {
     ThreadPool::reset_global(workers);
     for (int round = 0; round < 16; ++round) {
       std::atomic<int> ran{0};
-      auto stream = std::make_unique<sim::Stream>();
+      auto stream = std::make_unique<sim::Stream>(ThreadPool::global());
       const sim::Event first = stream->host([&ran] { ran.fetch_add(1); });
       (void)stream->host([&ran] { ran.fetch_add(1); });
-      (void)stream->host([&ran] { ran.fetch_add(1); });
+      const sim::Event last = stream->host([&ran] { ran.fetch_add(1); });
       first.on_ready([&stream] { stream.reset(); });
-      sim::LaunchQueue::global().quiesce();
+      last.wait();
       EXPECT_EQ(ran.load(), 3) << "workers=" << workers << " round=" << round;
       EXPECT_EQ(stream, nullptr);
     }
   }
-}
-
-TEST(StreamChurnTest, DestroyStreamWhileParkedOnCrossStreamEvent) {
-  // A consumer stream whose drain is parked on an unsignalled cross-stream
-  // event is destroyed; the destructor must block until the producer
-  // releases the gate and the parked op runs — never deadlock, never drop
-  // the op.
-  PoolSizeGuard guard;
-  for (int workers : {1, 4}) {
-    ThreadPool::reset_global(workers);
-    for (int round = 0; round < 8; ++round) {
-      sim::Stream producer;
-      auto consumer = std::make_unique<sim::Stream>();
-      std::atomic<bool> release{false};
-      std::atomic<int> ran{0};
-      (void)producer.host([&release] {
-        while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-      });
-      const sim::Event gate = producer.record();
-      consumer->wait(gate);
-      (void)consumer->host([&ran] { ran.fetch_add(1); });
-      std::thread releaser([&release] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        release.store(true, std::memory_order_release);
-      });
-      consumer.reset();  // destroys while the drain is (likely) parked
-      releaser.join();
-      producer.synchronize();
-      EXPECT_EQ(ran.load(), 1) << "workers=" << workers << " round=" << round;
-    }
-  }
-}
-
-TEST(StreamTest, ManyTinyLaunchesBatchCorrectly) {
-  // 64 tiny dependent sweeps on one stream: each is below the batch
-  // threshold, so the drain runs them back-to-back on one worker.
-  const auto& arch = sim::tesla_v100();
-  const core::StencilShape<float> shape = core::star2d<float>(1);
-  Grid2D<float> a(64, 16), b(64, 16);
-  fill_random(a, 41);
-  Grid2D<float> ref_a = a, ref_b = b;
-  core::iterate_stencil2d<float>(arch, ref_a, ref_b, shape, 64);
-
-  sim::Stream stream;
-  core::iterate_stencil2d_async<float>(stream, arch, a, b, shape, 64);
-  stream.synchronize();
-  EXPECT_EQ(0, std::memcmp(a.data(), ref_a.data(),
-                           static_cast<std::size_t>(a.size()) * sizeof(float)));
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ def main():
         default=[],
         metavar="NAME=FRAC",
         help="per-kernel override of --max-regression (repeatable), e.g. "
-        "--threshold pipeline_blur_sobel_x4=0.50 for scenarios whose "
+        "--threshold persistent_vs_relaunch_t4=0.50 for scenarios whose "
         "throughput depends on runner core count",
     )
     parser.add_argument(
@@ -146,7 +146,7 @@ def main():
             print(f"  {name:28s} baseline {args.metric} <= 0 — skipped")
             continue
         # Cap the scaled limit so a kernel whose per-kernel threshold is
-        # already loose (e.g. the core-count-sensitive pipeline scenario)
+        # already loose (e.g. a core-count-sensitive multi-worker row)
         # cannot end up effectively ungated under a backend mismatch.
         limit = min(0.80, thresholds.get(name, args.max_regression) * limit_scale)
         change = f / b - 1.0
