@@ -54,16 +54,22 @@ template <typename T>
   return s;
 }
 
-/// Mode-generic GEMM body; views captured by value.
+}  // namespace detail
+
+/// C(MxN) = A(MxK) * B(KxN), row-major, all dense.
 template <typename T>
-[[nodiscard]] auto make_gemm_body(const GemmSetup& s, GridView2D<const T> a,
-                                  GridView2D<const T> b, GridView2D<T> c) {
-  const Index m = s.m;
-  const Index k = s.k;
-  const Index n = s.n;
-  const int warps = s.warps;
-  const int p = s.p;
-  return [=](auto& blk) {
+KernelStats gemm_ssam(const sim::ArchSpec& arch, const GridView2D<const T>& a,
+                      const GridView2D<const T>& b, GridView2D<T> c,
+                      const GemmOptions& opt = {}, ExecMode mode = ExecMode::kFunctional,
+                      SampleSpec sample = {}) {
+  const detail::GemmSetup setup = detail::gemm_setup(a, b, c, opt);
+  const Index m = setup.m;
+  const Index k = setup.k;
+  const Index n = setup.n;
+  const int warps = setup.warps;
+  const int p = setup.p;
+  // Mode-generic body; views captured by value.
+  auto body = [=](auto& blk) {
     for (int w = 0; w < warps; ++w) {
       auto& wc = blk.warp(w);
       const Index j0 = static_cast<Index>(blk.id().x) * sim::kWarpSize;  // C columns
@@ -90,10 +96,8 @@ template <typename T>
               b.data(), wc.template iota<Index>((kk + s) * b.pitch() + j0, 1), &col_ok);
           for (int r = 0; r < p; ++r) {
             // Systolic broadcast: lane s's cached A value to all lanes.
-            const Reg<T> a_bc =
-                wc.shfl_idx(sim::kFullMask, a_vec[r], s);
-            acc[r] =
-                wc.mad(b_row, a_bc, acc[r]);
+            const Reg<T> a_bc = wc.shfl_idx(sim::kFullMask, a_vec[r], s);
+            acc[r] = wc.mad(b_row, a_bc, acc[r]);
           }
         }
       }
@@ -105,19 +109,7 @@ template <typename T>
       }
     }
   };
-}
-
-}  // namespace detail
-
-/// C(MxN) = A(MxK) * B(KxN), row-major, all dense.
-template <typename T>
-KernelStats gemm_ssam(const sim::ArchSpec& arch, const GridView2D<const T>& a,
-                      const GridView2D<const T>& b, GridView2D<T> c,
-                      const GemmOptions& opt = {}, ExecMode mode = ExecMode::kFunctional,
-                      SampleSpec sample = {}) {
-  const detail::GemmSetup s = detail::gemm_setup(a, b, c, opt);
-  auto body = detail::make_gemm_body<T>(s, a, b, c);
-  return sim::launch(arch, s.cfg, body, mode, sample);
+  return sim::launch(arch, setup.cfg, body, mode, sample);
 }
 
 /// Scalar reference for tests.

@@ -29,73 +29,6 @@ namespace detail {
 
 inline constexpr int kScanBlockThreads = 256;
 
-/// Top-level scan pass: per-block inclusive scan of `src` into `dst`, block
-/// totals into `sums`. Captures raw pointers by value — callers own the
-/// storage.
-template <typename T>
-[[nodiscard]] auto make_scan_block_body(const T* src, T* dst, T* sums, Index n,
-                                        int warps) {
-  return [=](auto& blk) {
-    Smem<T> warp_totals = blk.template alloc_smem<T>(warps);
-    InlineVec<Reg<T>, kMaxWarpsPerBlock> scanned(warps);
-    for (int w = 0; w < warps; ++w) {
-      auto& wc = blk.warp(w);
-      const Index base = static_cast<Index>(blk.id().x) * kScanBlockThreads +
-                         static_cast<Index>(w) * sim::kWarpSize;
-      const Reg<Index> idx = wc.template iota<Index>(base, 1);
-      Pred active = wc.cmp_lt(idx, n);
-      Reg<T> v = wc.load_global(src, idx, &active);
-      v = warp_inclusive_scan(wc, v);
-      scanned[w] = v;
-      // Publish the warp total (lane 31).
-      const Reg<T> total = wc.shfl_idx(sim::kFullMask, v, sim::kWarpSize - 1);
-      Pred lane0 = wc.cmp_lt(wc.lane_id(), 1);
-      wc.store_shared(warp_totals, wc.uniform(w), total, &lane0);
-    }
-    blk.sync();
-    for (int w = 0; w < warps; ++w) {
-      auto& wc = blk.warp(w);
-      // Accumulate preceding warps' totals (small serial loop, w <= 8).
-      Reg<T> offset = wc.uniform(T{});
-      for (int pw = 0; pw < w; ++pw) {
-        const Reg<T> t = wc.load_shared_broadcast(warp_totals, pw);
-        offset = wc.add(offset, t);
-      }
-      Reg<T> v = wc.add(scanned[w], offset);
-      const Index base = static_cast<Index>(blk.id().x) * kScanBlockThreads +
-                         static_cast<Index>(w) * sim::kWarpSize;
-      const Reg<Index> idx = wc.template iota<Index>(base, 1);
-      Pred active = wc.cmp_lt(idx, n);
-      wc.store_global(dst, idx, v, &active);
-      if (w == warps - 1) {
-        // Lane 31 of the last warp writes the block total.
-        Pred last = wc.cmp_ge(wc.lane_id(), sim::kWarpSize - 1);
-        wc.store_global(sums, wc.template uniform<Index>(blk.id().x),
-                        wc.shfl_idx(sim::kFullMask, v, sim::kWarpSize - 1), &last);
-      }
-    }
-  };
-}
-
-/// Offset-add pass: block b adds the scanned sum of blocks [0, b).
-template <typename T>
-[[nodiscard]] auto make_scan_add_body(const T* offs, T* dst, Index n) {
-  return [=](auto& blk) {
-    if (blk.id().x == 0) return;  // block 0 needs no offset
-    for (int w = 0; w < blk.warp_count(); ++w) {
-      auto& wc = blk.warp(w);
-      const Reg<T> off = wc.load_global(offs, wc.template uniform<Index>(blk.id().x - 1));
-      const Index base = static_cast<Index>(blk.id().x) * kScanBlockThreads +
-                         static_cast<Index>(w) * sim::kWarpSize;
-      const Reg<Index> idx = wc.template iota<Index>(base, 1);
-      Pred active = wc.cmp_lt(idx, n);
-      Reg<T> v = wc.load_global(dst, idx, &active);
-      v = wc.add(v, off);
-      wc.store_global(dst, idx, v, &active);
-    }
-  };
-}
-
 [[nodiscard]] inline sim::LaunchConfig scan_config(long long blocks) {
   sim::LaunchConfig cfg;
   cfg.grid = Dim3{static_cast<int>(blocks), 1, 1};
@@ -124,8 +57,51 @@ std::vector<KernelStats> scan_inclusive(const sim::ArchSpec& arch, std::span<con
   std::vector<KernelStats> all;
 
   const sim::LaunchConfig cfg = detail::scan_config(blocks);
-  auto body = detail::make_scan_block_body<T>(in.data(), out.data(), block_sums.data(),
-                                              n, warps);
+  const T* src = in.data();
+  T* dst = out.data();
+  T* sums = block_sums.data();
+  // Top-level pass: per-block inclusive scan of `src` into `dst`, block
+  // totals into `sums`.
+  auto body = [=](auto& blk) {
+    Smem<T> warp_totals = blk.template alloc_smem<T>(warps);
+    InlineVec<Reg<T>, kMaxWarpsPerBlock> scanned(warps);
+    for (int w = 0; w < warps; ++w) {
+      auto& wc = blk.warp(w);
+      const Index base = static_cast<Index>(blk.id().x) * kBlockThreads +
+                         static_cast<Index>(w) * sim::kWarpSize;
+      const Reg<Index> idx = wc.template iota<Index>(base, 1);
+      Pred active = wc.cmp_lt(idx, n);
+      Reg<T> v = wc.load_global(src, idx, &active);
+      v = warp_inclusive_scan(wc, v);
+      scanned[w] = v;
+      // Publish the warp total (lane 31).
+      const Reg<T> total = wc.shfl_idx(sim::kFullMask, v, sim::kWarpSize - 1);
+      Pred lane0 = wc.cmp_lt(wc.lane_id(), 1);
+      wc.store_shared(warp_totals, wc.uniform(w), total, &lane0);
+    }
+    blk.sync();
+    for (int w = 0; w < warps; ++w) {
+      auto& wc = blk.warp(w);
+      // Accumulate preceding warps' totals (small serial loop, w <= 8).
+      Reg<T> offset = wc.uniform(T{});
+      for (int pw = 0; pw < w; ++pw) {
+        const Reg<T> t = wc.load_shared_broadcast(warp_totals, pw);
+        offset = wc.add(offset, t);
+      }
+      Reg<T> v = wc.add(scanned[w], offset);
+      const Index base = static_cast<Index>(blk.id().x) * kBlockThreads +
+                         static_cast<Index>(w) * sim::kWarpSize;
+      const Reg<Index> idx = wc.template iota<Index>(base, 1);
+      Pred active = wc.cmp_lt(idx, n);
+      wc.store_global(dst, idx, v, &active);
+      if (w == warps - 1) {
+        // Lane 31 of the last warp writes the block total.
+        Pred last = wc.cmp_ge(wc.lane_id(), sim::kWarpSize - 1);
+        wc.store_global(sums, wc.template uniform<Index>(blk.id().x),
+                        wc.shfl_idx(sim::kFullMask, v, sim::kWarpSize - 1), &last);
+      }
+    }
+  };
   all.push_back(sim::launch(arch, cfg, body, mode, sample));
 
   if (blocks > 1) {
@@ -135,7 +111,22 @@ std::vector<KernelStats> scan_inclusive(const sim::ArchSpec& arch, std::span<con
                                  {scanned_sums.data(), scanned_sums.size()}, mode, sample);
     all.insert(all.end(), sub.begin(), sub.end());
 
-    auto add_body = detail::make_scan_add_body<T>(scanned_sums.data(), out.data(), n);
+    // Offset-add pass: block b adds the scanned sum of blocks [0, b).
+    const T* offs = scanned_sums.data();
+    auto add_body = [=](auto& blk) {
+      if (blk.id().x == 0) return;  // block 0 needs no offset
+      for (int w = 0; w < blk.warp_count(); ++w) {
+        auto& wc = blk.warp(w);
+        const Reg<T> off = wc.load_global(offs, wc.template uniform<Index>(blk.id().x - 1));
+        const Index base = static_cast<Index>(blk.id().x) * kBlockThreads +
+                           static_cast<Index>(w) * sim::kWarpSize;
+        const Reg<Index> idx = wc.template iota<Index>(base, 1);
+        Pred active = wc.cmp_lt(idx, n);
+        Reg<T> v = wc.load_global(dst, idx, &active);
+        v = wc.add(v, off);
+        wc.store_global(dst, idx, v, &active);
+      }
+    };
     all.push_back(sim::launch(arch, cfg, add_body, mode, sample));
   }
   return all;

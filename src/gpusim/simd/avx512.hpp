@@ -28,6 +28,7 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "gpusim/simd/scalar.hpp"
@@ -44,12 +45,21 @@ namespace avx512 {
 }
 
 /// Runs one 32-lane 4-byte permute: output register h takes lane idx_h[l]
-/// (0..31) from the concatenation of the two input registers.
+/// (0..31) from the concatenation lo:hi of the two source registers. Lanes
+/// whose bit in `keep` is clear are zeroed (an all-ones mask compiles to the
+/// plain unmasked permute).
+inline void permute32(void* d, __m512i lo, __m512i hi, __m512i idx_lo, __m512i idx_hi,
+                      std::uint32_t keep = ~0u) {
+  _mm512_storeu_si512(
+      d, _mm512_maskz_permutex2var_epi32(static_cast<__mmask16>(keep), lo, idx_lo, hi));
+  _mm512_storeu_si512(
+      static_cast<char*>(d) + 64,
+      _mm512_maskz_permutex2var_epi32(static_cast<__mmask16>(keep >> 16), lo, idx_hi, hi));
+}
+
 inline void permute32(void* d, const void* a, __m512i idx_lo, __m512i idx_hi) {
-  const __m512i lo = _mm512_loadu_si512(a);
-  const __m512i hi = _mm512_loadu_si512(static_cast<const char*>(a) + 64);
-  _mm512_storeu_si512(d, _mm512_permutex2var_epi32(lo, idx_lo, hi));
-  _mm512_storeu_si512(static_cast<char*>(d) + 64, _mm512_permutex2var_epi32(lo, idx_hi, hi));
+  permute32(d, _mm512_loadu_si512(a), _mm512_loadu_si512(static_cast<const char*>(a) + 64),
+            idx_lo, idx_hi);
 }
 
 /// Source-lane indices for shfl_up: l - delta, or l itself when that would
@@ -92,10 +102,117 @@ inline void store_mask32(int* d, __mmask16 lo, __mmask16 hi) {
   _mm512_storeu_si512(d + 16, _mm512_maskz_set1_epi32(hi, 1));
 }
 
+// ----------------------------------------------------------------- gather
+//
+// A gather the caller could not serve with one block copy (vec.hpp) takes a
+// window when the first and last active lanes' indices are at most 31 apart
+// and bound every other active index: the clamped ramps of border warps and
+// of the 3D partial-sum exchange, and broadcasts. Two masked loads fetch
+// exactly that window and one vpermt2d per output register places the
+// lanes. Any other shape runs the reference loop.
+
+/// Lane bits of an int32 predicate: bit l set when lane l is active.
+[[nodiscard]] inline std::uint32_t lane_bits(const int* p) {
+  const __m512i lo = _mm512_loadu_si512(p);
+  const __m512i hi = _mm512_loadu_si512(p + 16);
+  return static_cast<std::uint32_t>(_mm512_test_epi32_mask(lo, lo)) |
+         (static_cast<std::uint32_t>(_mm512_test_epi32_mask(hi, hi)) << 16);
+}
+
+/// The first n (clamped to [0, 16]) lanes of one register.
+[[nodiscard]] inline __mmask16 prefix16(std::int64_t n) {
+  if (n >= 16) return 0xffff;
+  return n <= 0 ? 0 : static_cast<__mmask16>((1u << n) - 1);
+}
+
+/// Source window of a gather: elements [lo, lo + n) hold every active
+/// lane's value, and rel0/rel1 hold each lane's offset into the window.
+struct Window {
+  std::int64_t lo = 0;
+  std::int64_t n = 0;
+  __m512i rel0{};
+  __m512i rel1{};
+};
+
+/// True (and fills w) when the first and last active lanes' indices are at
+/// most 31 apart and every active index lies between them: the shape of
+/// every clamped, non-decreasing ramp. m must be nonzero.
+[[nodiscard]] inline bool find_window(const std::int32_t* idx, std::uint32_t m, Window& w) {
+  const std::int64_t lo = idx[std::countr_zero(m)];
+  const std::int64_t hi = idx[31 - std::countl_zero(m)];
+  if (hi < lo || hi - lo >= kSimdLanes) return false;
+  const __m512i lov = _mm512_set1_epi32(static_cast<std::int32_t>(lo));
+  const __m512i hiv = _mm512_set1_epi32(static_cast<std::int32_t>(hi));
+  const __m512i i0 = _mm512_loadu_si512(idx);
+  const __m512i i1 = _mm512_loadu_si512(idx + 16);
+  const auto k0 = static_cast<__mmask16>(m);
+  const auto k1 = static_cast<__mmask16>(m >> 16);
+  const __mmask16 in0 =
+      _mm512_mask_cmple_epi32_mask(_mm512_mask_cmpge_epi32_mask(k0, i0, lov), i0, hiv);
+  const __mmask16 in1 =
+      _mm512_mask_cmple_epi32_mask(_mm512_mask_cmpge_epi32_mask(k1, i1, lov), i1, hiv);
+  if (in0 != k0 || in1 != k1) return false;
+  w = {lo, hi - lo + 1, _mm512_sub_epi32(i0, lov), _mm512_sub_epi32(i1, lov)};
+  return true;
+}
+
+[[nodiscard]] inline bool find_window(const std::int64_t* idx, std::uint32_t m, Window& w) {
+  const std::int64_t lo = idx[std::countr_zero(m)];
+  const std::int64_t hi = idx[31 - std::countl_zero(m)];
+  // Unsigned difference: exact for any hi >= lo, even across the full range.
+  if (hi < lo || static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) >= kSimdLanes) {
+    return false;
+  }
+  const __m512i lov = _mm512_set1_epi64(lo);
+  const __m512i hiv = _mm512_set1_epi64(hi);
+  __m256i rel[4];
+  for (int j = 0; j < 4; ++j) {
+    const __m512i q = _mm512_loadu_si512(idx + 8 * j);
+    const auto k = static_cast<__mmask8>(m >> (8 * j));
+    if (_mm512_mask_cmple_epi64_mask(_mm512_mask_cmpge_epi64_mask(k, q, lov), q, hiv) != k) {
+      return false;
+    }
+    rel[j] = _mm512_cvtepi64_epi32(_mm512_sub_epi64(q, lov));
+  }
+  w = {lo, hi - lo + 1, _mm512_inserti64x4(_mm512_castsi256_si512(rel[0]), rel[1], 1),
+       _mm512_inserti64x4(_mm512_castsi256_si512(rel[2]), rel[3], 1)};
+  return true;
+}
+
+/// d[l] = base[idx[l]] for lanes whose bit is set in m, T{} elsewhere, when
+/// the active lanes fit a window; false (d untouched) otherwise.
+template <typename T, typename I>
+[[nodiscard]] inline bool gather_window(T* d, const T* base, const I* idx, std::uint32_t m) {
+  Window w;
+  if (m == 0 || !find_window(idx, m, w)) return false;
+  const T* src = base + w.lo;
+  const __m512i lo = _mm512_maskz_loadu_epi32(prefix16(w.n), src);
+  const __m512i hi = w.n > 16 ? _mm512_maskz_loadu_epi32(prefix16(w.n - 16), src + 16)
+                              : _mm512_setzero_si512();
+  permute32(d, lo, hi, w.rel0, w.rel1, m);  // inactive lanes read as T{}
+  return true;
+}
+
+/// The gathers of the 4-byte lane types.
+template <typename T>
+struct MemOps : RefOps<T> {
+  static_assert(sizeof(T) == 4, "the window permutes 4-byte lanes");
+
+  template <typename I>
+  static void gather(T* d, const T* base, const I* idx) {
+    if (!gather_window(d, base, idx, ~0u)) ref::gather(d, base, idx);
+  }
+
+  template <typename I>
+  static void gather_if(T* d, const T* base, const I* idx, const int* active) {
+    if (!gather_window(d, base, idx, lane_bits(active))) ref::gather_if(d, base, idx, active);
+  }
+};
+
 }  // namespace avx512
 
 template <>
-struct LaneOps<float> : RefOps<float> {
+struct LaneOps<float> : avx512::MemOps<float> {
   static constexpr bool kVectorized = true;
 
   static void splat(float* d, float v) {
@@ -203,7 +320,7 @@ struct LaneOps<float> : RefOps<float> {
 };
 
 template <>
-struct LaneOps<std::int32_t> : RefOps<std::int32_t> {
+struct LaneOps<std::int32_t> : avx512::MemOps<std::int32_t> {
   static constexpr bool kVectorized = true;
   using T = std::int32_t;
 

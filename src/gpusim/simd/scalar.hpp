@@ -219,6 +219,32 @@ template <typename T>
   return contiguous;
 }
 
+// Memory primitives. Indices are lane offsets into `base` (int32 for shared
+// memory, int64 for global); only active lanes' indices are dereferenced, so
+// an inactive lane may carry any value, out-of-range ones included.
+
+/// Gather: d[l] = base[idx[l]].
+template <typename T, typename I>
+inline void gather(T* d, const T* base, const I* idx) {
+  SSAM_SIMD
+  for (int l = 0; l < kSimdLanes; ++l) d[l] = base[idx[l]];
+}
+
+/// Masked gather: active lanes read base[idx[l]], inactive lanes get T{}.
+template <typename T, typename I>
+inline void gather_if(T* d, const T* base, const I* idx, const int* active) {
+  for (int l = 0; l < kSimdLanes; ++l) d[l] = active[l] != 0 ? base[idx[l]] : T{};
+}
+
+/// Masked scatter: base[idx[l]] = v[l] for active lanes, in lane order (a
+/// later lane wins a colliding index).
+template <typename T, typename I>
+inline void scatter_if(T* base, const I* idx, const T* v, const int* active) {
+  for (int l = 0; l < kSimdLanes; ++l) {
+    if (active[l] != 0) base[idx[l]] = v[l];
+  }
+}
+
 }  // namespace ref
 
 /// Reference ops bundle. `LaneOps<T>` (simd.hpp) derives from this; vector
@@ -250,6 +276,14 @@ struct RefOps {
   static void butterfly(T* d, const T* a, int lane_mask) { ref::butterfly(d, a, lane_mask); }
   static bool unit_stride(const T* idx) { return ref::unit_stride(idx); }
   static bool all_nonzero(const int* p) { return ref::all_nonzero(p); }
+  template <typename I>
+  static void gather(T* d, const T* base, const I* idx) {
+    ref::gather(d, base, idx);
+  }
+  template <typename I>
+  static void gather_if(T* d, const T* base, const I* idx, const int* active) {
+    ref::gather_if(d, base, idx, active);
+  }
 };
 
 /// The customization point the lane engine (gpusim/vec.hpp) dispatches

@@ -4,7 +4,8 @@
 // `simd::LaneOps<T>`; this header decides which backend provides the
 // specializations. Exactly one backend is active per build:
 //
-//   AVX-512  two 512-bit registers per warp value, vpermt2d shuffles
+//   AVX-512  two 512-bit registers per warp value, vpermt2d shuffles and
+//            window-permute gathers
 //   AVX2     four 256-bit registers, vpermd chunk-rotate shuffles
 //   SSE2     eight 128-bit registers, arithmetic only (x86-64 baseline)
 //   NEON     eight 128-bit registers, arithmetic only (AArch64 baseline)

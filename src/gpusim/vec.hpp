@@ -8,9 +8,10 @@
 //
 // All lane arithmetic lives here as `Vec<T>` primitives, each a one-line
 // dispatch into the explicit SIMD lane engine (gpusim/simd/): arithmetic and
-// mad chains run as wide ops over the 32 contiguous lanes, and the four
+// mad chains run as wide ops over the 32 contiguous lanes, the four
 // CUDA-semantics shuffles run as in-register permutes on backends that have
-// them (see simd/simd.hpp for backend selection). Every backend reproduces
+// them, and non-coalesced gathers run as window permutes on AVX-512 (see
+// simd/simd.hpp for backend selection). Every backend reproduces
 // the portable reference loops bit-for-bit, so functional results do not
 // depend on the backend — only throughput does.
 #pragma once
@@ -198,6 +199,8 @@ struct Vec {
     return simd::LaneOps<I>::unit_stride(idx.data());
   }
 
+  /// r[l] = base[idx[l]]. Tiers: a unit-stride ramp is one block copy here;
+  /// every other shape goes to the backend's gather (see simd/simd.hpp).
   template <typename I>
   [[nodiscard]] static Vec gather(const T* base, const Vec<I>& idx) {
     Vec r;
@@ -205,25 +208,19 @@ struct Vec {
       std::memcpy(r.lane.data(), base + idx.lane[0], sizeof(r.lane));
       return r;
     }
-    SSAM_SIMD
-    for (int l = 0; l < kWarpSize; ++l) r.lane[l] = base[idx.lane[l]];
+    Ops::gather(r.data(), base, idx.data());
     return r;
   }
 
   /// Masked gather; inactive lanes receive T{} (matching the documented
-  /// load semantics kernels rely on, e.g. masked scan inputs). Interior
-  /// warps pass an all-true predicate, which rejoins the coalesced path.
+  /// load semantics kernels rely on, e.g. masked scan inputs) and their
+  /// indices are never dereferenced. Interior warps pass an all-true
+  /// predicate, which rejoins the coalesced path.
   template <typename I>
   [[nodiscard]] static Vec gather_if(const T* base, const Vec<I>& idx, const Vec<int>& active) {
     if (simd::LaneOps<int>::all_nonzero(active.data())) return gather(base, idx);
     Vec r;
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (active.lane[l] != 0) {
-        r.lane[l] = base[idx.lane[l]];
-      } else {
-        r.lane[l] = T{};
-      }
-    }
+    Ops::gather_if(r.data(), base, idx.data(), active.data());
     return r;
   }
 
@@ -236,15 +233,24 @@ struct Vec {
     for (int l = 0; l < kWarpSize; ++l) base[idx.lane[l]] = v.lane[l];
   }
 
+  /// Masked scatter: base[idx[l]] = v[l] for active lanes only. Over a
+  /// unit-stride ramp (a border row) the lanes store to distinct consecutive
+  /// elements, so the loop compiles to masked vector stores where the ISA
+  /// has them; it forms no address from an inactive lane.
   template <typename I>
   static void scatter_if(T* base, const Vec<I>& idx, const Vec& v, const Vec<int>& active) {
     if (simd::LaneOps<int>::all_nonzero(active.data())) {
       scatter(base, idx, v);
       return;
     }
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (active.lane[l] != 0) base[idx.lane[l]] = v.lane[l];
+    if (unit_stride(idx)) {
+      const I i0 = idx.lane[0];
+      for (int l = 0; l < kWarpSize; ++l) {
+        if (active.lane[l] != 0) base[i0 + l] = v.lane[l];
+      }
+      return;
     }
+    simd::ref::scatter_if(base, idx.data(), v.data(), active.data());
   }
 };
 

@@ -14,6 +14,8 @@
 // not just per primitive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -21,9 +23,15 @@
 #include <limits>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include "common/rng.hpp"
 #include "core/conv2d.hpp"
 #include "core/gemm.hpp"
+#include "core/job.hpp"
 #include "core/scan.hpp"
 #include "core/stencil2d.hpp"
 #include "core/stencil2d_temporal.hpp"
@@ -309,6 +317,283 @@ TEST(SimdParity, UnitStride) {
   EXPECT_FALSE(Vec<float>::unit_stride(iramp));
 }
 
+// ------------------------------------------------- gather / scatter parity
+
+constexpr int kSrcLanes = 256;  // elements behind a gather's base pointer
+
+/// kSrcLanes deterministic elements, cycling through the parity vectors.
+template <typename T>
+std::vector<T> memory_source() {
+  const auto vecs = vectors_for<T>();
+  std::vector<T> src(kSrcLanes);
+  for (int i = 0; i < kSrcLanes; ++i) {
+    src[static_cast<std::size_t>(i)] = vecs[static_cast<std::size_t>(i / kWarpSize) % vecs.size()]
+                                           [i % kWarpSize];
+  }
+  return src;
+}
+
+using Lanes64 = std::array<std::int64_t, kWarpSize>;
+
+struct IndexPattern {
+  const char* name;
+  Lanes64 idx;  // every lane in [0, kSrcLanes)
+};
+
+/// The index shapes each backend tier must get right: the block-copy ramp,
+/// the clamped ramps of border warps and of the 3D partial-sum exchange
+/// (window tier), first-to-last windows exactly 32 and 33 elements wide, a
+/// lane beyond the last lane's index, and shapes no window covers, which
+/// fall back to the reference loop.
+std::vector<IndexPattern> index_patterns() {
+  std::vector<IndexPattern> out;
+  auto add = [&](const char* name, auto f) {
+    IndexPattern p{name, {}};
+    for (int l = 0; l < kWarpSize; ++l) p.idx[static_cast<std::size_t>(l)] = f(l);
+    out.push_back(p);
+  };
+  auto clamp = [](std::int64_t v, std::int64_t lo, std::int64_t hi) {
+    return std::min(std::max(v, lo), hi);
+  };
+  add("unit ramp", [](int l) { return 40 + l; });
+  add("clamped low", [&](int l) { return clamp(40 + l - 5, 40, 71); });
+  add("clamped high", [&](int l) { return clamp(100 + l, 0, 120); });
+  add("clamped both", [&](int l) { return clamp(60 + l - 3, 60, 80); });
+  add("broadcast", [](int) { return 77; });
+  auto spread = [](int l, std::int64_t last) -> std::int64_t {
+    return l == 0 ? 5 : l == 31 ? last : 6 + (l * 7) % 30;
+  };
+  add("span 31", [&](int l) { return spread(l, 5 + 31); });
+  add("span 32", [&](int l) { return spread(l, 5 + 32); });
+  add("beyond last lane", [](int l) { return 5 + (l * 7) % kWarpSize; });
+  add("reversed", [](int l) { return 200 - l; });
+  add("stride 2", [](int l) { return 3 + 2 * l; });
+  SplitMix64 rng(0x6A7u);
+  add("random", [&](int) { return static_cast<std::int64_t>(rng.next_below(kSrcLanes)); });
+  return out;
+}
+
+struct LaneMask {
+  const char* name;
+  Vec<int> active;
+};
+
+/// Predicates for the masked primitives: contiguous runs (the block-copy
+/// store shape of border warps), scattered lanes, a single lane, and no lane.
+std::vector<LaneMask> lane_masks() {
+  std::vector<LaneMask> out;
+  auto add = [&](const char* name, auto f) {
+    LaneMask m{name, {}};
+    for (int l = 0; l < kWarpSize; ++l) m.active[l] = f(l);
+    out.push_back(m);
+  };
+  add("all", [](int) { return 1; });
+  add("run 3..19", [](int l) { return l >= 3 && l < 20 ? 7 : 0; });
+  add("head run", [](int l) { return l < 9 ? 1 : 0; });
+  add("tail run", [](int l) { return l >= 26 ? -1 : 0; });
+  add("alternating", [](int l) { return l % 2; });
+  add("first lane", [](int l) { return l == 0 ? 1 : 0; });
+  add("last lane", [](int l) { return l == 31 ? 1 : 0; });
+  add("all but one", [](int l) { return l == 13 ? 0 : 1; });
+  add("none", [](int) { return 0; });
+  return out;
+}
+
+template <typename I>
+Vec<I> to_index(const Lanes64& idx) {
+  Vec<I> v;
+  for (int l = 0; l < kWarpSize; ++l) v[l] = static_cast<I>(idx[static_cast<std::size_t>(l)]);
+  return v;
+}
+
+/// Gives every inactive lane an index far outside the source, which a
+/// backend must never dereference.
+template <typename I>
+Vec<I> poison_inactive(Vec<I> idx, const Vec<int>& active) {
+  for (int l = 0; l < kWarpSize; ++l) {
+    if (active[l] == 0) {
+      idx[l] = (l % 2 == 0) ? std::numeric_limits<I>::max() : std::numeric_limits<I>::min();
+    }
+  }
+  return idx;
+}
+
+template <typename T, typename I>
+void check_gather_parity() {
+  const std::vector<T> src = memory_source<T>();
+  T expect[kWarpSize];
+  for (const IndexPattern& p : index_patterns()) {
+    const Vec<I> idx = to_index<I>(p.idx);
+    simd::ref::gather(expect, src.data(), idx.data());
+    expect_lanes_eq(Vec<T>::gather(src.data(), idx), expect, p.name);
+  }
+}
+
+template <typename T, typename I>
+void check_gather_if_parity() {
+  const std::vector<T> src = memory_source<T>();
+  T expect[kWarpSize];
+  for (const IndexPattern& p : index_patterns()) {
+    for (const LaneMask& m : lane_masks()) {
+      const Vec<I> idx = poison_inactive(to_index<I>(p.idx), m.active);
+      simd::ref::gather_if(expect, src.data(), idx.data(), m.active.data());
+      SCOPED_TRACE(m.name);
+      expect_lanes_eq(Vec<T>::gather_if(src.data(), idx, m.active), expect, p.name);
+    }
+  }
+}
+
+template <typename T, typename I>
+void check_scatter_if_parity() {
+  const Vec<T> v = vectors_for<T>().front();
+  // The destination has 64 elements of headroom on either side of base, so
+  // every pattern fits even when shifted below base.
+  constexpr std::size_t kHeadroom = 64;
+  std::vector<T> init;
+  for (int k = 0; k < 2; ++k) {
+    for (const T& x : memory_source<T>()) init.push_back(x);
+  }
+  for (const IndexPattern& p : index_patterns()) {
+    for (const LaneMask& m : lane_masks()) {
+      // A ramp reaching below base: the inactive head lanes address memory
+      // the store must leave alone.
+      for (std::int64_t shift : {std::int64_t{0}, std::int64_t{-43}}) {
+        Lanes64 lanes = p.idx;
+        for (auto& x : lanes) x += shift;
+        const Vec<I> idx = to_index<I>(lanes);
+        std::vector<T> expect = init;
+        std::vector<T> got = init;
+        simd::ref::scatter_if(expect.data() + kHeadroom, idx.data(), v.data(), m.active.data());
+        Vec<T>::scatter_if(got.data() + kHeadroom, idx, v, m.active);
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(), sizeof(T) * got.size()), 0)
+            << p.name << " / " << m.name << " shift " << shift << " (backend "
+            << simd::kBackendName << ")";
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Gather) {
+  for (auto f : {check_gather_parity<float, std::int32_t>, check_gather_parity<float, std::int64_t>,
+                 check_gather_parity<std::int32_t, std::int32_t>,
+                 check_gather_parity<std::int32_t, std::int64_t>,
+                 check_gather_parity<std::int64_t, std::int32_t>,
+                 check_gather_parity<std::int64_t, std::int64_t>}) {
+    f();
+  }
+}
+
+TEST(SimdParity, GatherIf) {
+  for (auto f : {check_gather_if_parity<float, std::int32_t>,
+                 check_gather_if_parity<float, std::int64_t>,
+                 check_gather_if_parity<std::int32_t, std::int32_t>,
+                 check_gather_if_parity<std::int32_t, std::int64_t>,
+                 check_gather_if_parity<std::int64_t, std::int32_t>,
+                 check_gather_if_parity<std::int64_t, std::int64_t>}) {
+    f();
+  }
+}
+
+TEST(SimdParity, ScatterIf) {
+  for (auto f : {check_scatter_if_parity<float, std::int32_t>,
+                 check_scatter_if_parity<float, std::int64_t>,
+                 check_scatter_if_parity<std::int32_t, std::int32_t>,
+                 check_scatter_if_parity<std::int32_t, std::int64_t>,
+                 check_scatter_if_parity<std::int64_t, std::int32_t>,
+                 check_scatter_if_parity<std::int64_t, std::int64_t>}) {
+    f();
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+/// One readable/writable page between two inaccessible ones: any access a
+/// primitive makes outside the page faults.
+class GuardedPage {
+ public:
+  GuardedPage() : size_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+    void* m = mmap(nullptr, 3 * size_, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) return;
+    map_ = static_cast<char*>(m);
+    if (mprotect(map_ + size_, size_, PROT_READ | PROT_WRITE) != 0) {
+      munmap(map_, 3 * size_);
+      map_ = nullptr;
+    }
+  }
+  ~GuardedPage() {
+    if (map_ != nullptr) munmap(map_, 3 * size_);
+  }
+  GuardedPage(const GuardedPage&) = delete;
+  GuardedPage& operator=(const GuardedPage&) = delete;
+
+  [[nodiscard]] bool ok() const { return map_ != nullptr; }
+  template <typename T>
+  [[nodiscard]] T* elems() const {
+    return reinterpret_cast<T*>(map_ + size_);
+  }
+  template <typename T>
+  [[nodiscard]] std::int64_t count() const {
+    return static_cast<std::int64_t>(size_ / sizeof(T));
+  }
+
+ private:
+  std::size_t size_;
+  char* map_ = nullptr;
+};
+
+/// Window loads and run stores must touch only the elements the
+/// active lanes name: clamped ramps that end on the last element of a page
+/// or start on its first, and ramps whose inactive lanes run off the page.
+template <typename T, typename I>
+void check_memory_stays_inside_active_lanes() {
+  GuardedPage page;
+  ASSERT_TRUE(page.ok());
+  T* mem = page.elems<T>();
+  const std::int64_t n = page.count<T>();
+  for (std::int64_t i = 0; i < n; ++i) mem[i] = static_cast<T>(i % 1000);
+
+  Vec<int> all;
+  Vec<int> head;  // lanes 0..19: the part of a ramp still on the page
+  Vec<int> tail;  // lanes 12..31
+  for (int l = 0; l < kWarpSize; ++l) {
+    all[l] = 1;
+    head[l] = l < 20 ? 1 : 0;
+    tail[l] = l >= 12 ? 1 : 0;
+  }
+  Vec<I> high;  // clamped at the last element
+  Vec<I> low;   // clamped at the first element
+  Vec<I> off_end;
+  Vec<I> off_start;
+  for (int l = 0; l < kWarpSize; ++l) {
+    high[l] = static_cast<I>(std::min<std::int64_t>(n - 10 + l, n - 1));
+    low[l] = static_cast<I>(std::max<std::int64_t>(l - 10, 0));
+    off_end[l] = static_cast<I>(n - 20 + l);
+    off_start[l] = static_cast<I>(l - 12);
+  }
+  T expect[kWarpSize];
+  simd::ref::gather(expect, mem, high.data());
+  expect_lanes_eq(Vec<T>::gather(mem, high), expect, "clamped at page end");
+  simd::ref::gather(expect, mem, low.data());
+  expect_lanes_eq(Vec<T>::gather(mem, low), expect, "clamped at page start");
+  simd::ref::gather_if(expect, mem, off_end.data(), head.data());
+  expect_lanes_eq(Vec<T>::gather_if(mem, off_end, head), expect, "ramp off page end");
+  simd::ref::gather_if(expect, mem, off_start.data(), tail.data());
+  expect_lanes_eq(Vec<T>::gather_if(mem, off_start, tail), expect, "ramp off page start");
+
+  const Vec<T> v = Vec<T>::splat(static_cast<T>(7));
+  Vec<T>::scatter_if(mem, off_end, v, head);
+  Vec<T>::scatter_if(mem, off_start, v, tail);
+  for (int l = 0; l < 20; ++l) EXPECT_EQ(mem[n - 20 + l], static_cast<T>(7));
+  for (int l = 12; l < kWarpSize; ++l) EXPECT_EQ(mem[l - 12], static_cast<T>(7));
+}
+
+TEST(SimdParity, MemoryStaysInsideActiveLanes) {
+  check_memory_stays_inside_active_lanes<float, std::int32_t>();
+  check_memory_stays_inside_active_lanes<float, std::int64_t>();
+  check_memory_stays_inside_active_lanes<std::int32_t, std::int64_t>();
+  check_memory_stays_inside_active_lanes<std::int64_t, std::int64_t>();
+}
+#endif
+
 // -------------------------------------------- cross-backend kernel goldens
 
 using ssam::testing::fnv1a;
@@ -383,6 +668,29 @@ std::uint64_t golden_scan() {
   return fnv1a(out.data(), sizeof(float) * out.size());
 }
 
+/// The serving 3D job (64x64x32 3d7pt, two sweeps through run_job): with
+/// nx = 64 two of its three warp columns are border warps, and every dz != 0
+/// partial sum crosses shared memory through a clamped lane shift.
+std::uint64_t golden_job3d_serve() {
+  const auto& arch = sim::tesla_v100();
+  Grid3D<float> a(64, 64, 32);
+  fill_random(a, 15);
+  Grid3D<float> b(64, 64, 32);
+  core::run_job(arch, core::SimJob::stencil3d(a, b, core::star3d<float>(1), 2));
+  return fnv1a(a.data(), sizeof(float) * static_cast<std::size_t>(a.size()));
+}
+
+/// A width that is no multiple of the 30 outputs a radius-1 warp produces,
+/// so the last warp column is ragged and clamps its loads and stores.
+std::uint64_t golden_stencil2d_ragged() {
+  const auto& arch = sim::tesla_v100();
+  Grid2D<float> in(257, 72);
+  fill_random(in, 16);
+  Grid2D<float> out(257, 72);
+  core::stencil2d_ssam<float>(arch, in.cview(), core::box2d<float>(3, 3), out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
 TEST(KernelGolden, BitIdenticalAcrossBackends) {
   const Golden goldens[] = {
       {"conv2d", golden_conv2d()},
@@ -391,6 +699,8 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"stencil3d", golden_stencil3d()},
       {"gemm", golden_gemm()},
       {"scan", golden_scan()},
+      {"job3d_serve", golden_job3d_serve()},
+      {"stencil2d_ragged", golden_stencil2d_ragged()},
   };
   if (std::getenv("SSAM_PRINT_GOLDEN") != nullptr) {
     for (const Golden& g : goldens) {
@@ -405,6 +715,8 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"stencil3d", 0xf9026ccf1cdd75b6ull},
       {"gemm", 0x81ae90bc5dd70376ull},
       {"scan", 0xc3b6d6659b933233ull},
+      {"job3d_serve", 0xc478c0d76cfbee27ull},
+      {"stencil2d_ragged", 0x2187390be2ba138eull},
   };
   for (std::size_t i = 0; i < std::size(goldens); ++i) {
     EXPECT_EQ(goldens[i].hash, expected[i].hash)
