@@ -31,9 +31,16 @@ int env_positive_int(const char* name, int fallback) {
   return parsed;
 }
 
+/// The environment knob as a strict on/off flag: `1` is on, `0` is off, and
+/// unset or empty means off. Anything else (`yes`, `true`, `2`, `1x`)
+/// throws PreconditionError naming the variable, like the integer knobs.
 bool env_flag(const char* name) {
-  if (const char* v = std::getenv(name)) return std::atoi(v) > 0;
-  return false;
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return false;
+  const std::string s(v);
+  SSAM_REQUIRE(s == "0" || s == "1",
+               std::string(name) + "=\"" + s + "\" is not a flag (expected 0 or 1)");
+  return s == "1";
 }
 
 }  // namespace

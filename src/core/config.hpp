@@ -60,6 +60,8 @@ struct SimConfig {
 /// knobs (SSAM_THREADS, SSAM_DEVICES, SSAM_TUNE_TOPK) are parsed strictly:
 /// a malformed or non-positive value throws PreconditionError naming the
 /// variable, like the SSAM_FAULT_SPEC grammar — never a silent fallback.
+/// The SSAM_DEVICE_PIN flag accepts `0` or `1` and throws on anything else.
+/// An empty value means unset for every knob.
 [[nodiscard]] SimConfig config_from_env();
 
 /// The process-wide configuration, resolved from the environment once at

@@ -183,8 +183,8 @@ class DeviceGroup {
   [[nodiscard]] std::span<HaloChannel> peer_channels(std::size_t count);
 
   /// Even slicing of the host: `n` devices with max(1, host/n) workers
-  /// each. When the SSAM_DEVICE_PIN environment variable is a positive
-  /// integer, device d's workers are pinned to the contiguous core range
+  /// each. When the SSAM_DEVICE_PIN environment variable is `1`, device
+  /// d's workers are pinned to the contiguous core range
   /// starting at d * threads_per_device (mod the physical core count).
   [[nodiscard]] static std::vector<DeviceOptions> even_slices(int n);
 

@@ -312,6 +312,38 @@ TEST(ChainEdge, DualStageMatchesSeparateBranchesBitwise) {
       bits_equal(oa.data(), dual_out.data(), static_cast<std::size_t>(src.size())));
 }
 
+TEST(ChainEdge, Depth32DistinctStagesFusedMatchesStaged) {
+  // The differential suite draws depths 2..8; a deep chain keeps 32 stages
+  // resident in one persistent run, each with its own coefficients so no
+  // stage repeats its neighbour.
+  PoolSizeGuard guard;
+  ThreadPool::reset_global(4);
+  constexpr int kDepth = 32;
+  std::vector<core::ChainStage<float>> stages;
+  for (int i = 0; i < kDepth; ++i) {
+    core::StencilShape<float> s = core::star2d<float>(1);
+    for (auto& tap : s.taps) tap.coeff *= 1.0f + 0.01f * static_cast<float>(i);
+    stages.push_back(core::ChainStage<float>::stencil(std::move(s)));
+  }
+  Grid2D<float> src(157, 211);
+  fill_random(src, 29);
+
+  Grid2D<float> staged(157, 211);
+  core::PersistentOptions ref;
+  ref.policy = core::IterationPolicy::kRelaunch;
+  (void)core::run_chain2d<float>(sim::tesla_v100(), src, staged, stages, ref);
+
+  core::PersistentOptions opt;
+  opt.policy = core::IterationPolicy::kPersistent;  // tiles = 0: auto
+  Grid2D<float> fused(157, 211);
+  const auto st = core::run_chain2d<float>(sim::tesla_v100(), src, fused, stages, opt);
+  EXPECT_TRUE(st.persistent);
+  EXPECT_EQ(st.sweeps, kDepth);
+  EXPECT_GT(st.tiles, 1) << "a single tile exchanges no halos";
+  ASSERT_TRUE(
+      bits_equal(staged.data(), fused.data(), static_cast<std::size_t>(src.size())));
+}
+
 TEST(ChainEdge, ValidationRejectsBadChains) {
   Grid2D<float> a(64, 64), b(64, 64);
   core::StencilShape<float> s = core::star2d<float>(1);

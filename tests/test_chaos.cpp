@@ -22,6 +22,7 @@
 // device-filtered plans, probed seeds) and assert exact outcomes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -502,6 +503,58 @@ TEST(ChaosDeadline, PredictedMissShedsAtAdmission) {
   const core::SimServer::Stats st = server.stats();
   EXPECT_EQ(st.shed, 1u);
   EXPECT_EQ(st.rejected, 1u);
+}
+
+TEST(ChaosDeadline, LearnedCalibrationShedsDoomedJobs) {
+  sim::DeviceGroup group(device_opts(1, 1));
+  core::ServerOptions so;
+  so.group = &group;
+  so.shed_on_deadline = true;  // calibration 0: learned from completed jobs
+  core::SimServer server(so);
+
+  const core::StencilShape<float> shape = core::star2d<float>(1);
+  Grid2D<float> big_a(512, 256), big_b(512, 256);
+  fill_random(big_a, 23);
+  // Deadline-free large jobs are never shed; their timings teach the
+  // ms-per-unit EWMA. The EWMA is a convex mix of these jobs' samples, so a
+  // job of the same size is predicted to take at least the fastest of them.
+  double fastest_ms = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    core::JobFuture f = server.submit(core::SimJob::stencil2d(big_a, big_b, shape, 4));
+    const core::JobResult& r = f.wait();
+    ASSERT_EQ(r.status, core::JobStatus::kCompleted);
+    ASSERT_GT(r.exec_ms, 0.0);
+    fastest_ms = i == 0 ? r.exec_ms : std::min(fastest_ms, r.exec_ms);
+  }
+
+  // All doomed jobs are admitted (or not) before any small job completes and
+  // moves the EWMA.
+  std::vector<core::JobFuture> doomed, feasible;
+  for (int i = 0; i < 4; ++i) {
+    core::SimJob j = core::SimJob::stencil2d(big_a, big_b, shape, 4);
+    j.deadline_ms = fastest_ms / 10.0;
+    doomed.push_back(server.submit(std::move(j)));
+  }
+  std::vector<Grid2D<float>> small;
+  for (int i = 0; i < 8; ++i) small.emplace_back(64, 32);
+  for (int i = 0; i < 4; ++i) {
+    fill_random(small[2 * i], 31 + static_cast<unsigned>(i));
+    core::SimJob s = core::SimJob::stencil2d(small[2 * i], small[2 * i + 1], shape, 2);
+    s.deadline_ms = 60000.0;
+    feasible.push_back(server.submit(std::move(s)));
+  }
+  for (core::JobFuture& f : doomed) {
+    const core::JobResult& r = f.wait();
+    EXPECT_EQ(r.status, core::JobStatus::kRejected);
+    EXPECT_EQ(r.error.code, ErrorCode::kDeadlineUnmeetable);
+  }
+  for (core::JobFuture& f : feasible) {
+    ASSERT_TRUE(f.wait_for(kTerminalBoundMs));
+    EXPECT_EQ(f.wait().status, core::JobStatus::kCompleted);
+  }
+  server.drain();
+  EXPECT_EQ(server.stats().shed, doomed.size());
+  EXPECT_GT(server.stats().shed, 0u);
 }
 
 TEST(ChaosDeadline, NoCalibrationNoHistoryMeansNoShedding) {

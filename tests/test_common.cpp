@@ -167,6 +167,37 @@ TEST(Config, MalformedDevicesThrows) {
   }
 }
 
+TEST(Config, MalformedTuneTopkThrows) {
+  // Model-only tuning is TunerOptions::top_k = 0; the env knob only takes a
+  // positive measured-candidate count.
+  for (const char* bad : {"0", "-1", "two", "3x"}) {
+    ScopedEnv env("SSAM_TUNE_TOPK", bad);
+    EXPECT_THROW((void)core::config_from_env(), PreconditionError) << bad;
+  }
+}
+
+TEST(Config, MalformedDevicePinThrows) {
+  // std::atoi(v) > 0 read "yes" and "true" as off and "1x" as on; the flag
+  // now takes exactly 0 or 1.
+  for (const char* bad : {"yes", "true", "on", "1x", "2", "-1", " 1"}) {
+    ScopedEnv env("SSAM_DEVICE_PIN", bad);
+    EXPECT_THROW((void)core::config_from_env(), PreconditionError) << bad;
+    try {
+      (void)core::config_from_env();
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("SSAM_DEVICE_PIN"), std::string::npos);
+    }
+  }
+  {
+    ScopedEnv env("SSAM_DEVICE_PIN", "1");
+    EXPECT_TRUE(core::config_from_env().device_pin);
+  }
+  for (const char* off : {"0", ""}) {
+    ScopedEnv env("SSAM_DEVICE_PIN", off);
+    EXPECT_FALSE(core::config_from_env().device_pin) << off;
+  }
+}
+
 TEST(Config, WellFormedEnvValuesParse) {
   ScopedEnv threads("SSAM_THREADS", "3");
   ScopedEnv devices("SSAM_DEVICES", "5");
