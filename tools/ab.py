@@ -1,27 +1,28 @@
 #!/usr/bin/env python3
 """A/B speed gate: the benchmark's end-to-end metrics, one revision against another.
 
-    python3 tools/ab.py BASE HEAD [--workload W]... [--pairs N]
+    python3 tools/ab.py BASE HEAD [--workload W]...
     python3 tools/ab.py --selftest
 
 Checks BASE and HEAD out into two detached git worktrees in a temporary
 directory and runs each checkout's own perfbench/run.py, so each side is
 built and measured by the benchmark code it ships. For every workload it runs
-N pairs (N >= 10). BASE runs first in even pairs and HEAD first in odd ones,
-and every run uses seed 1. The run length (`run_seconds`), the workloads and
+10 pairs. BASE runs first in even pairs and HEAD first in odd ones, and every
+run uses seed 1. The run length (`run_seconds`), the workloads and
 the end-to-end metrics with their bounds come from BASE's BENCHMARK.json.
 
 For each workload x end-to-end metric it prints both medians, their ratio,
 the pairs HEAD won (ties count for neither side), BASE's interquartile range
-(IQR) and a verdict:
+(IQR) and the first verdict that applies:
 
-  regressed     HEAD's median is worse than BASE's by more than the metric's
-                bound, or HEAD failed a larger share of operations.
-  gain          HEAD wins at least 9 of every 10 pairs and the medians differ
-                by more than BASE's IQR.
+  regressed     HEAD failed a larger share of operations.
+  gain          HEAD's median is better, HEAD wins at least 9 of every 10
+                pairs, and the medians differ by more than BASE's IQR.
   unresolved    BASE's IQR exceeds the bound (relative to its median), so the
-                runs cannot tell a change of that size, unless every HEAD run
-                beats every BASE run.
+                runs cannot tell a change of that size, and not every HEAD
+                run beats every BASE run.
+  regressed     HEAD's median is worse than BASE's by more than the metric's
+                bound.
   within bound  anything else.
 
 The exit status is 1 when any verdict is "regressed", 2 when a revision or
@@ -37,7 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-MIN_PAIRS = 10
+PAIRS = 10
 SEED = 1
 
 
@@ -53,12 +54,14 @@ def compare(base, head, better, bound, base_failed=0.0, head_failed=0.0):
     scale = abs(mb) or 1.0
     row = {"base": mb, "head": mh, "ratio": mh / mb if mb else float("nan"),
            "wins": wins, "pairs": len(base), "iqr": iqr}
-    if head_failed > base_failed or sign * (mb - mh) / scale > bound:
+    if head_failed > base_failed:
         row["verdict"] = "regressed"
     elif sign * (mh - mb) > 0 and 10 * wins >= 9 * len(base) and abs(mh - mb) > iqr:
         row["verdict"] = "gain"
     elif iqr / scale > bound and not (min(sign * h for h in head) > max(sign * b for b in base)):
         row["verdict"] = "unresolved"
+    elif sign * (mb - mh) / scale > bound:
+        row["verdict"] = "regressed"
     else:
         row["verdict"] = "within bound"
     return row
@@ -83,9 +86,13 @@ def selftest():
               [v * 0.95 for v in flat], "higher", 0.25, "within bound"),
         check("unresolved: parent spread wider than the bound", wide,
               [v * 1.02 for v in wide], "higher", 0.25, "unresolved"),
+        check("unresolved: spread wider than the bound, median 30% worse", wide,
+              [v * 1.30 for v in wide], "lower", 0.25, "unresolved"),
         check("not unresolved: every change run beats every parent run", wide,
               [v + 100.0 for v in wide], "higher", 0.25, "gain"),
         check("regressed: higher failed share, metrics unchanged", flat, list(flat),
+              "higher", 0.25, "regressed", base_failed=0.0, head_failed=0.001),
+        check("regressed: higher failed share despite a wide spread", wide, list(wide),
               "higher", 0.25, "regressed", base_failed=0.0, head_failed=0.001),
         check("within bound: identical runs", flat, list(flat), "higher", 0.02,
               "within bound"),
@@ -123,15 +130,12 @@ def main():
     ap.add_argument("head", nargs="?")
     ap.add_argument("--workload", action="append",
                     help="gated workload to run (repeatable; default: all gated workloads)")
-    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--selftest", action="store_true")
     args = ap.parse_args()
     if args.selftest:
         return selftest()
     if args.base is None or args.head is None:
         ap.error("BASE and HEAD are required")
-    if args.pairs < MIN_PAIRS:
-        ap.error(f"--pairs must be at least {MIN_PAIRS}")
 
     try:
         top = Path(git("rev-parse", "--show-toplevel"))
@@ -159,13 +163,13 @@ def main():
         regressed = False
         for workload in workloads:
             runs = [[], []]  # runs[side][pair]
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 for side in order:
                     runs[side].append(run_once(trees[side], workload, seconds))
             shares = [sum(r["failed"] for r in side) / max(1, sum(r["attempted"] for r in side))
                       for side in runs]
-            print(f"\n{workload}: {args.pairs} pairs of {seconds:g} s runs, seed {SEED}; "
+            print(f"\n{workload}: {PAIRS} pairs of {seconds:g} s runs, seed {SEED}; "
                   f"base {revs[0][:12]}, head {revs[1][:12]}")
             print(f"{'metric':<20} {'base median':>12} {'head median':>12} {'ratio':>7} "
                   f"{'head wins':>9} {'base IQR':>10}  verdict")
