@@ -4,14 +4,15 @@
 // worker threads with one double-ended task queue per worker. `submit()`
 // distributes tasks round-robin; an idle worker first drains its own deque
 // from the front, then steals from the *back* of sibling deques, so coarse
-// tasks (stream drains, parallel-loop helpers) migrate to whichever core is
-// free. Workers live for the life of the process — nothing is forked or
-// joined per kernel launch, which is what lets per-worker `BlockContext`s
-// (thread_local in gpusim/launch.hpp) persist across launches.
+// tasks (server job attempts, parallel-loop helpers) migrate to whichever
+// core is free. Workers live for the life of the process — nothing is
+// forked or joined per kernel launch, which is what lets per-worker
+// `BlockContext`s (thread_local in gpusim/launch.hpp) persist across
+// launches.
 //
 // Parallel loops use `parallel_run`: the *caller participates* — it claims
 // chunks alongside the helper tasks it submitted — so a loop issued from
-// inside a pool task (e.g. a stream drain executing a kernel) cannot
+// inside a pool task (e.g. a server job attempt executing a kernel) cannot
 // deadlock: even if every other worker is busy, the caller itself finishes
 // the loop. OpenMP is not used; parallelism is std::thread-based and works
 // in non-OpenMP builds (see ssam::hardware_concurrency()).
@@ -64,7 +65,7 @@ class ThreadPool {
 
   /// Replaces the global pool with one of `threads` workers. Test hook for
   /// the determinism-across-pool-sizes suite; must only be called while no
-  /// launches or streams are in flight.
+  /// launches or server jobs are in flight.
   static void reset_global(int threads);
 
   /// True when called from one of this pool's worker threads.

@@ -204,8 +204,8 @@ struct JobResult {
 
 namespace detail {
 
-/// Shared completion state behind a JobFuture (Event-style, but carrying a
-/// typed result).
+/// Shared completion state behind a JobFuture: a one-shot signal carrying
+/// the typed result.
 struct JobState {
   std::mutex m;
   std::condition_variable cv;
@@ -286,9 +286,9 @@ void autotune_apply(const sim::ArchSpec& arch, const SimJob& job,
 
 /// THE dispatch path: runs `job` synchronously on `device`'s pool slice
 /// (null: the global pool), using `ws` for tile residence (null: the
-/// calling thread's default workspace). The SimServer calls this from its
-/// per-device streams with a leased warm workspace; direct callers and the
-/// examples call it bare — both produce bit-identical outputs. Throws
+/// calling thread's default workspace). The SimServer calls this from a
+/// task on the device's pool with a leased warm workspace; direct callers
+/// and the examples call it bare — both produce bit-identical outputs. Throws
 /// PreconditionError on an invalid job (the server catches and reports
 /// kFailed instead of dying).
 inline PersistentRunStats run_job(const sim::ArchSpec& arch, const SimJob& job,

@@ -79,7 +79,6 @@ SimServer::SimServer(ServerOptions opt)
       config_(::ssam::core::config()),
       arch_(opt.arch != nullptr ? opt.arch : &sim::tesla_v100()),
       completion_seq_(std::make_shared<std::atomic<std::uint64_t>>(0)) {
-  SSAM_REQUIRE(opt_.streams_per_device >= 1, "a device needs at least one stream");
   SSAM_REQUIRE(opt_.max_in_flight_per_device >= 1, "device job slots must be positive");
   SSAM_REQUIRE(opt_.max_attempts >= 1, "a job needs at least one attempt");
   SSAM_REQUIRE(opt_.quarantine_after >= 1, "quarantine threshold must be positive");
@@ -94,7 +93,6 @@ SimServer::SimServer(ServerOptions opt)
   }
   opt_.devices = n;
   in_flight_.assign(static_cast<std::size_t>(n), 0);
-  next_big_stream_.assign(static_cast<std::size_t>(n), 0);
   health_.assign(static_cast<std::size_t>(n), Health{});
   probe_rigs_.resize(static_cast<std::size_t>(n));
   paused_ = opt_.start_paused;
@@ -283,9 +281,9 @@ void SimServer::drain() {
   resume();
   std::unique_lock<std::mutex> lock(m_);
   // `!pumping_` is part of idle: a thread inside the dispatch loop (or a
-  // completion callback that handed off to it) still holds `this`, so
+  // settling attempt that handed off to it) still holds `this`, so
   // drain must not return — and let the destructor run — underneath it.
-  // Probes count too: a probe op also holds `this`.
+  // Probes count too: a probe task also holds `this`.
   idle_cv_.wait(lock, [&] { return idle_locked(); });
 }
 
@@ -310,26 +308,24 @@ bool SimServer::promote_due_retries_locked(Clock::time_point now) {
   return any;
 }
 
-// One thread owns the dispatch loop at a time (`pumping_`). Re-entrant and
-// concurrent callers — a completion callback running inline inside the
-// owner's enqueue below, or another thread's submit — return immediately;
-// the owner re-selects on its next lap and observes whatever they changed,
-// so the backlog still drains and pump depth stays bounded (no recursion
-// through chains of instantly-finishing jobs).
+// One thread owns the dispatch loop at a time (`pumping_`). Concurrent
+// callers — an attempt settling on a device worker, or another thread's
+// submit — return immediately; the owner re-selects on its next lap and
+// observes whatever they changed, so the backlog still drains.
 //
 // Shutdown safety: the owner's LAST touch of server state is clearing
-// `pumping_` and notifying drain() under the lock; a completion callback's
+// `pumping_` and notifying drain() under the lock; a settling attempt's
 // last touch is its slot decrement + hand-off to pump_locked, also in one
-// critical section. Together with drain() requiring `!pumping_`, no thread
-// can still be behind `this` once drain observes idle — the destructor
-// cannot pull the server out from under a late pump() call.
+// critical section (run_attempt). Together with drain() requiring
+// `!pumping_`, no thread can still be behind `this` once drain observes
+// idle — the destructor cannot pull the server out from under a late
+// pump() call.
 void SimServer::pump_locked(std::unique_lock<std::mutex>& lock) {
   if (paused_ || pumping_) return;
   pumping_ = true;
   struct Launch {
-    std::shared_ptr<Pending> p;
+    Pending p;
     int device = 0;
-    int stream = 0;
   };
   for (;;) {
     promote_due_retries_locked(Clock::now());
@@ -382,183 +378,18 @@ void SimServer::pump_locked(std::unique_lock<std::mutex>& lock) {
       // here, not for the full job it never competed with.
       vtime_ = std::max(vtime_, p.start_tag);
       ++in_flight_[static_cast<std::size_t>(dev)];
-      Launch l;
-      l.device = dev;
-      // Small jobs share the batch lane (stream 0); large jobs round-robin
-      // the remaining streams so they overlap instead of queuing.
-      if (opt_.streams_per_device > 1 && p.job.cells() >= opt_.small_job_cells) {
-        int& cursor = next_big_stream_[static_cast<std::size_t>(dev)];
-        l.stream = 1 + cursor % (opt_.streams_per_device - 1);
-        ++cursor;
-      }
-      l.p = std::make_shared<Pending>(std::move(p));
-      if (l.p->has_deadline) running_.push_back({l.p->state, l.p->deadline});
-      batch.push_back(std::move(l));
+      if (p.has_deadline) running_.push_back({p.state, p.deadline});
+      batch.push_back(Launch{std::move(p), dev});
     }
     if (batch.empty()) break;
-    // Enqueue outside the scheduler lock: stream enqueues take stream
-    // locks, and an already-complete event runs its continuation (which
-    // relocks m_) inline right here. `pumping_` keeps drain() parked
-    // across this unlocked window.
+    // Submit outside the scheduler lock: pool submits take queue locks and
+    // wake workers. `pumping_` keeps drain() parked across this unlocked
+    // window.
     lock.unlock();
     for (Launch& l : batch) {
-      sim::Device& dev = group_->device(l.device);
-      dev.job_started();
-      auto pj = l.p;
-      const sim::ArchSpec* arch = arch_;
-      sim::Device* devp = &dev;
-      const int dev_index = l.device;
-      const auto dispatched_at = Clock::now();
-      if (pj->attempts == 0) pj->queue_ms = ms_between(pj->submitted_at, dispatched_at);
-      // The attempt's outcome crosses from the stream op to the completion
-      // callback through this shared record — the callback never reads the
-      // JobState (keeping the lock order m_ -> state->m one-way).
-      struct Outcome {
-        JobError err;
-        PersistentRunStats run;
-        bool completed = false;
-        bool cancelled = false;
-        double ms = 0.0;
-      };
-      auto out = std::make_shared<Outcome>();
-      sim::Event ev =
-          dev.stream(static_cast<std::size_t>(l.stream))
-              .host([pj, arch, devp, dev_index, out] {
-                const auto t0 = Clock::now();
-                try {
-                  FaultInjector& fi = FaultInjector::global();
-                  // Dispatch-site fault: the launch itself dies before any
-                  // engine work (device hang at launch).
-                  if (fi.enabled()) {
-                    fi.maybe_throw(FaultSite::kDeviceDispatch, dev_index, "job dispatch");
-                  }
-                  if (pj->state->cancel.cancelled()) {
-                    throw CancelledError("cancelled before start",
-                                         pj->state->cancel.reason());
-                  }
-                  sim::WorkspaceLease lease = devp->lease_workspace();
-                  // Lease-site fault: the workspace arena "allocation"
-                  // fails. The lease above unwinds through RAII.
-                  if (fi.enabled()) {
-                    fi.maybe_throw(FaultSite::kWorkspaceLease, dev_index,
-                                   "workspace lease");
-                  }
-                  if (pj->attempts > 0 && pj->snapshot != nullptr) {
-                    // A previous attempt may have half-written the state
-                    // grid; restore the pristine inputs so the retry is
-                    // bit-identical to a fault-free run.
-                    float* dst = pj->job.kind == JobKind::kStencil3D
-                                     ? pj->job.a3->data()
-                                     : pj->job.a2->data();
-                    std::memcpy(dst, pj->snapshot->data(),
-                                pj->snapshot->size() * sizeof(float));
-                  }
-                  out->run = run_job(*arch, pj->job, devp, lease.get());
-                  out->completed = true;
-                } catch (const FaultError& e) {
-                  out->err = JobError{ErrorCode::kFaultInjected, e.transient(), e.what()};
-                } catch (const CancelledError& e) {
-                  out->cancelled = true;
-                  out->err = cancel_error(e.reason(), e.what());
-                } catch (const PreconditionError& e) {
-                  out->err = JobError{ErrorCode::kInvalidJob, false, e.what()};
-                } catch (const ResourceError& e) {
-                  out->err = JobError{ErrorCode::kResource, false, e.what()};
-                } catch (const std::exception& e) {
-                  out->err = JobError{ErrorCode::kInternal, false, e.what()};
-                }
-                out->ms = ms_between(t0, Clock::now());
-              });
-      // Completion is callback-driven: free the device slot, settle the
-      // attempt (fulfil / retry / quarantine), then pump so the next
-      // queued job takes the slot. Runs on the stream's drain worker (or
-      // inline above when the op already finished). Slot decrement and
-      // pump hand-off share ONE critical section, and nothing after it
-      // touches `this`: until the decrement the in-flight count keeps
-      // drain() waiting, after it pump_locked's ownership protocol does.
-      ev.on_ready([this, pj, out, dev_index] {
-        group_->device(dev_index).job_finished();
-        std::unique_lock<std::mutex> cb_lock(m_);
-        --in_flight_[static_cast<std::size_t>(dev_index)];
-        ++pj->attempts;
-        pj->exec_ms += out->ms;
-        if (pj->has_deadline) {
-          std::erase_if(running_,
-                        [&](const RunningJob& rj) { return rj.state == pj->state; });
-        }
-        Health& h = health_[static_cast<std::size_t>(dev_index)];
-        bool requeued = false;
-        if (out->completed) {
-          h.consecutive_faults = 0;
-          if (pj->units > 0.0 && out->ms > 0.0) {
-            // Online shed calibration: EWMA of observed ms per model unit.
-            const double sample = out->ms / pj->units;
-            ewma_ms_per_unit_ =
-                ewma_ms_per_unit_ <= 0.0 ? sample
-                                         : 0.8 * ewma_ms_per_unit_ + 0.2 * sample;
-          }
-        } else if (out->err.code == ErrorCode::kFaultInjected) {
-          ++faulted_attempts_;
-          ++h.faults;
-          ++h.consecutive_faults;
-          if (!h.quarantined && h.consecutive_faults >= opt_.quarantine_after) {
-            // Never quarantine the last healthy device: degraded service
-            // beats refusing everything.
-            int healthy = 0;
-            for (const Health& other : health_) healthy += other.quarantined ? 0 : 1;
-            if (healthy > 1) {
-              h.quarantined = true;
-              ++quarantines_;
-              ++h.quarantines;
-              h.next_probe = Clock::now() + ms_duration(opt_.probe_interval_ms);
-              log_warn_limited(warn_quarantine_,
-                               "server: quarantined device " + std::to_string(dev_index) +
-                                   " after " + std::to_string(h.consecutive_faults) +
-                                   " consecutive faults");
-            }
-          }
-          const bool deadline_gone =
-              pj->has_deadline && Clock::now() >= pj->deadline;
-          if (out->err.transient && pj->attempts < opt_.max_attempts &&
-              !pj->state->cancel.cancelled() && !deadline_gone) {
-            // Transient fault with attempts left: back off and requeue.
-            pj->attempt_errors.push_back(out->err);
-            const double backoff =
-                std::min(opt_.retry_backoff_ms * std::exp2(pj->attempts - 1),
-                         opt_.retry_backoff_max_ms);
-            pj->retry_at = Clock::now() + ms_duration(backoff);
-            ++queued_;
-            ++retries_;
-            retry_q_.push_back(std::move(*pj));
-            requeued = true;
-          }
-        }
-        if (!requeued) {
-          JobResult r;
-          r.device = dev_index;
-          r.queue_ms = pj->queue_ms;
-          r.exec_ms = pj->exec_ms;
-          r.attempts = pj->attempts;
-          if (!out->completed) pj->attempt_errors.push_back(out->err);
-          r.attempt_errors = std::move(pj->attempt_errors);
-          r.seq = completion_seq_->fetch_add(1, std::memory_order_relaxed) + 1;
-          ++completed_;
-          if (out->completed) {
-            r.status = JobStatus::kCompleted;
-            r.run = out->run;
-          } else if (out->cancelled) {
-            r.status = JobStatus::kCancelled;
-            r.error = out->err;
-            ++cancelled_;
-          } else {
-            r.status = JobStatus::kFailed;
-            r.error = out->err;
-            ++failed_;
-          }
-          pj->state->fulfill(std::move(r));
-        }
-        pump_locked(cb_lock);
-      });
+      if (l.p.attempts == 0) l.p.queue_ms = ms_between(l.p.submitted_at, Clock::now());
+      group_->device(l.device).pool().submit(
+          [this, p = std::move(l.p), device = l.device]() mutable { run_attempt(p, device); });
     }
     lock.lock();
   }
@@ -568,6 +399,133 @@ void SimServer::pump_locked(std::unique_lock<std::mutex>& lock) {
     // the server, so the notify must not happen any later than this.
     idle_cv_.notify_all();
   }
+}
+
+// One dispatched attempt, start to finish, on a worker of its device's
+// pool: run the job, then settle the outcome under m_ — fulfil, retry or
+// quarantine — and pump so the next queued job takes the slot. Slot
+// decrement and pump hand-off share ONE critical section, and nothing after
+// it touches `this`: until the decrement the in-flight count keeps drain()
+// waiting, after it pump_locked's ownership protocol does.
+void SimServer::run_attempt(Pending& p, int device) {
+  sim::Device& dev = group_->device(device);
+  JobError err;
+  PersistentRunStats run;
+  bool completed = false;
+  bool cancelled = false;
+  const auto t0 = Clock::now();
+  try {
+    FaultInjector& fi = FaultInjector::global();
+    // Dispatch-site fault: the launch itself dies before any engine work
+    // (device hang at launch).
+    if (fi.enabled()) fi.maybe_throw(FaultSite::kDeviceDispatch, device, "job dispatch");
+    if (p.state->cancel.cancelled()) {
+      throw CancelledError("cancelled before start", p.state->cancel.reason());
+    }
+    sim::WorkspaceLease lease = dev.lease_workspace();
+    // Lease-site fault: the workspace arena "allocation" fails. The lease
+    // above unwinds through RAII.
+    if (fi.enabled()) fi.maybe_throw(FaultSite::kWorkspaceLease, device, "workspace lease");
+    if (p.attempts > 0 && p.snapshot != nullptr) {
+      // A previous attempt may have half-written the state grid; restore
+      // the pristine inputs so the retry is bit-identical to a fault-free
+      // run.
+      float* dst = p.job.kind == JobKind::kStencil3D ? p.job.a3->data() : p.job.a2->data();
+      std::memcpy(dst, p.snapshot->data(), p.snapshot->size() * sizeof(float));
+    }
+    run = run_job(*arch_, p.job, &dev, lease.get());
+    completed = true;
+  } catch (const FaultError& e) {
+    err = JobError{ErrorCode::kFaultInjected, e.transient(), e.what()};
+  } catch (const CancelledError& e) {
+    cancelled = true;
+    err = cancel_error(e.reason(), e.what());
+  } catch (const PreconditionError& e) {
+    err = JobError{ErrorCode::kInvalidJob, false, e.what()};
+  } catch (const ResourceError& e) {
+    err = JobError{ErrorCode::kResource, false, e.what()};
+  } catch (const std::exception& e) {
+    err = JobError{ErrorCode::kInternal, false, e.what()};
+  }
+  const double ms = ms_between(t0, Clock::now());
+  dev.counters().jobs_completed.fetch_add(1, std::memory_order_relaxed);
+
+  std::unique_lock<std::mutex> lock(m_);
+  --in_flight_[static_cast<std::size_t>(device)];
+  ++p.attempts;
+  p.exec_ms += ms;
+  if (p.has_deadline) {
+    std::erase_if(running_, [&](const RunningJob& rj) { return rj.state == p.state; });
+  }
+  Health& h = health_[static_cast<std::size_t>(device)];
+  bool requeued = false;
+  if (completed) {
+    h.consecutive_faults = 0;
+    if (p.units > 0.0 && ms > 0.0) {
+      // Online shed calibration: EWMA of observed ms per model unit.
+      const double sample = ms / p.units;
+      ewma_ms_per_unit_ =
+          ewma_ms_per_unit_ <= 0.0 ? sample : 0.8 * ewma_ms_per_unit_ + 0.2 * sample;
+    }
+  } else if (err.code == ErrorCode::kFaultInjected) {
+    ++faulted_attempts_;
+    ++h.faults;
+    ++h.consecutive_faults;
+    if (!h.quarantined && h.consecutive_faults >= opt_.quarantine_after) {
+      // Never quarantine the last healthy device: degraded service beats
+      // refusing everything.
+      int healthy = 0;
+      for (const Health& other : health_) healthy += other.quarantined ? 0 : 1;
+      if (healthy > 1) {
+        h.quarantined = true;
+        ++quarantines_;
+        ++h.quarantines;
+        h.next_probe = Clock::now() + ms_duration(opt_.probe_interval_ms);
+        log_warn_limited(warn_quarantine_,
+                         "server: quarantined device " + std::to_string(device) +
+                             " after " + std::to_string(h.consecutive_faults) +
+                             " consecutive faults");
+      }
+    }
+    const bool deadline_gone = p.has_deadline && Clock::now() >= p.deadline;
+    if (err.transient && p.attempts < opt_.max_attempts && !p.state->cancel.cancelled() &&
+        !deadline_gone) {
+      // Transient fault with attempts left: back off and requeue.
+      p.attempt_errors.push_back(err);
+      const double backoff = std::min(opt_.retry_backoff_ms * std::exp2(p.attempts - 1),
+                                      opt_.retry_backoff_max_ms);
+      p.retry_at = Clock::now() + ms_duration(backoff);
+      ++queued_;
+      ++retries_;
+      retry_q_.push_back(std::move(p));
+      requeued = true;
+    }
+  }
+  if (!requeued) {
+    JobResult r;
+    r.device = device;
+    r.queue_ms = p.queue_ms;
+    r.exec_ms = p.exec_ms;
+    r.attempts = p.attempts;
+    if (!completed) p.attempt_errors.push_back(err);
+    r.attempt_errors = std::move(p.attempt_errors);
+    r.seq = completion_seq_->fetch_add(1, std::memory_order_relaxed) + 1;
+    ++completed_;
+    if (completed) {
+      r.status = JobStatus::kCompleted;
+      r.run = run;
+    } else if (cancelled) {
+      r.status = JobStatus::kCancelled;
+      r.error = err;
+      ++cancelled_;
+    } else {
+      r.status = JobStatus::kFailed;
+      r.error = err;
+      ++failed_;
+    }
+    p.state->fulfill(std::move(r));
+  }
+  pump_locked(lock);
 }
 
 // The watchdog serves the three time-driven duties: cancelling overdue
@@ -621,7 +579,7 @@ void SimServer::watchdog_main() {
       }
     }
     // Overdue running work: cancel the token; the engine unwinds at its
-    // next sweep boundary and the completion callback settles the job.
+    // next sweep boundary and run_attempt settles the job.
     for (const RunningJob& rj : running_) {
       if (rj.deadline <= now) {
         rj.state->cancel.cancel(static_cast<int>(ErrorCode::kDeadlineExceeded));
@@ -634,8 +592,7 @@ void SimServer::watchdog_main() {
     const bool promoted = promote_due_retries_locked(now);
 
     // Quarantined devices due for a probe. The launch itself happens
-    // outside m_ (stream enqueues take stream locks and may run
-    // continuations inline).
+    // outside m_, like pump_locked's submits.
     std::vector<int> to_probe;
     for (int i = 0; i < opt_.devices; ++i) {
       Health& h = health_[static_cast<std::size_t>(i)];
@@ -666,11 +623,11 @@ void SimServer::launch_probe(int device) {
   ProbeRig* rig = rig_slot.get();
   sim::Device* devp = &group_->device(device);
   const sim::ArchSpec* arch = arch_;
-  auto ok = std::make_shared<bool>(false);
-  sim::Event ev = devp->stream(0).host([ok, arch, devp, device, rig] {
+  devp->pool().submit([this, arch, devp, device, rig] {
     // The probe walks the same fault sites a real job would — it succeeds
     // only when the device genuinely stopped faulting (or the plan moved
     // on), which is exactly the reinstatement condition.
+    bool ok = false;
     try {
       FaultInjector& fi = FaultInjector::global();
       if (fi.enabled()) fi.maybe_throw(FaultSite::kDeviceDispatch, device, "probe dispatch");
@@ -680,17 +637,15 @@ void SimServer::launch_probe(int device) {
       }
       SimJob job = SimJob::stencil2d(rig->a, rig->b, rig->shape, 2);
       (void)run_job(*arch, job, devp, lease.get());
-      *ok = true;
+      ok = true;
     } catch (const std::exception&) {
-      *ok = false;
+      ok = false;
     }
-  });
-  ev.on_ready([this, ok, device] {
-    std::unique_lock<std::mutex> cb_lock(m_);
+    std::unique_lock<std::mutex> lock(m_);
     Health& h = health_[static_cast<std::size_t>(device)];
     h.probe_in_flight = false;
     --probes_active_;
-    if (*ok) {
+    if (ok) {
       if (h.quarantined) {
         h.quarantined = false;
         h.consecutive_faults = 0;
@@ -700,7 +655,7 @@ void SimServer::launch_probe(int device) {
                              " passed its probe, reinstated");
       }
       // The reinstated device is a packing target again.
-      pump_locked(cb_lock);
+      pump_locked(lock);
     } else {
       h.next_probe = Clock::now() + ms_duration(opt_.probe_interval_ms);
     }

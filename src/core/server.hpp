@@ -26,11 +26,8 @@
 //    one beyond its weight share, and a tenant going active right after
 //    a huge dispatch is not charged for work it never saw.
 //  * Device packing — a dispatched job goes to the least-loaded *healthy*
-//    device with a free slot (`max_in_flight_per_device`); small grids
-//    (< `small_job_cells`) go to the device's stream 0, the shared batch
-//    lane, where consecutive small ops run back-to-back on one worker
-//    without fork/join (PR 2's small-grid batching, now cross-job); large
-//    jobs round-robin the remaining streams.
+//    device with a free slot; `max_in_flight_per_device` is exactly the
+//    number of jobs running at once on one device.
 //
 // Fault tolerance (subsystem 7, docs/architecture.md):
 //
@@ -54,12 +51,12 @@
 //    a clean probe reinstates the device. The last healthy device is never
 //    quarantined — degraded service beats no service.
 //
-// Execution reuses the whole existing stack: each dispatch is one host op
-// on a device stream, running `run_job` device-pinned with a workspace
-// leased from the device's warm arena pool (no per-job arena carving
-// after the first wave). Completion is callback-driven via
-// `Event::on_ready` — no blocked waiter threads — and fulfils the job's
-// future, frees the device slot, and pumps the queue again. Outputs are
+// Execution reuses the whole existing stack: each dispatched attempt is one
+// task on its device's pool, running `run_job` device-pinned with a
+// workspace leased from the device's warm arena pool (no per-job arena
+// carving after the first wave). The same task then settles the attempt —
+// no blocked waiter threads: it fulfils the job's future (or requeues a
+// retry), frees the device slot, and pumps the queue again. Outputs are
 // bit-identical to calling `run_job` directly (the determinism invariant
 // the server tests pin with golden hashes).
 #pragma once
@@ -91,16 +88,11 @@ struct ServerOptions {
   int devices = 0;
   /// Explicit group (bench/test hook). Null: DeviceGroup::shared(devices).
   sim::DeviceGroup* group = nullptr;
-  /// Streams per device: stream 0 is the shared small-job batch lane, the
-  /// rest take large jobs round-robin. At 1 everything shares stream 0.
-  int streams_per_device = 2;
-  /// Job slots per device; dispatch stalls (jobs stay queued) when every
-  /// device is full.
+  /// Jobs running at once per device; dispatch stalls (jobs stay queued)
+  /// when every device is full.
   int max_in_flight_per_device = 2;
   /// Admission control: queued-job cap beyond which submits are rejected.
   std::size_t max_pending = 1024;
-  /// Jobs under this many cells ride the batch lane.
-  Index small_job_cells = Index{1} << 14;
   /// Accept submissions but dispatch nothing until resume() — lets tests
   /// build a backlog and observe pure scheduling order.
   bool start_paused = false;
@@ -213,6 +205,10 @@ class SimServer {
   // Single-owner: concurrent/re-entrant calls return immediately and the
   // owning thread re-examines the queue on its next lap.
   void pump_locked(std::unique_lock<std::mutex>& lock);
+  // Body of a dispatched attempt's device-pool task: runs the job, then
+  // settles it under m_ (fulfil, retry or quarantine) and pumps. Called
+  // WITHOUT m_ held.
+  void run_attempt(Pending& p, int device);
   void watchdog_main();
   // Moves due entries of retry_q_ back to their tenant queues. Lock held.
   bool promote_due_retries_locked(Clock::time_point now);
@@ -235,7 +231,6 @@ class SimServer {
   std::map<int, Tenant> tenants_;
   std::size_t queued_ = 0;                // admitted, not dispatched (incl. retry_q_)
   std::vector<int> in_flight_;            // dispatched jobs per device
-  std::vector<int> next_big_stream_;      // round-robin cursor per device
   std::vector<Health> health_;            // per-device quarantine state
   std::vector<Pending> retry_q_;          // attempts waiting out their backoff
   std::vector<RunningJob> running_;       // dispatched deadline jobs
@@ -262,7 +257,7 @@ class SimServer {
   std::condition_variable watchdog_cv_;
   std::thread watchdog_;
 
-  // Event streams that can storm under sustained fault injection report
+  // Warnings that can storm under sustained fault injection report
   // through rate limiters — one line plus a suppressed count, not a flood.
   LogRateLimiter warn_deadline_{std::chrono::milliseconds(500)};
   LogRateLimiter warn_quarantine_{std::chrono::milliseconds(500)};

@@ -1,4 +1,4 @@
-// Event counters collected by the SIMT timing simulator.
+// Hardware-event counters collected by the SIMT timing simulator.
 #pragma once
 
 #include <cstdint>

@@ -15,19 +15,6 @@ Device::Device(int index, DeviceOptions opt)
       name_(opt.name.empty() ? "dev" + std::to_string(index) : std::move(opt.name)),
       pool_(std::make_unique<ThreadPool>(opt.threads, std::move(opt.pin_cpus))) {}
 
-Stream& Device::stream(std::size_t i) {
-  std::lock_guard<std::mutex> lock(streams_m_);
-  while (streams_.size() <= i) {
-    streams_.push_back(std::make_unique<Stream>(*pool_));
-  }
-  return *streams_[i];
-}
-
-std::size_t Device::stream_count() const {
-  std::lock_guard<std::mutex> lock(streams_m_);
-  return streams_.size();
-}
-
 WorkspaceLease Device::lease_workspace() {
   {
     std::lock_guard<std::mutex> lock(spares_m_);

@@ -8,10 +8,13 @@
 //
 //  * a ThreadPool slice (its own worker threads, optionally pinned to a
 //    disjoint core range so shards never migrate across each other),
-//  * a workspace arena for its shard's residence buffers,
-//  * a stream set whose drains run on the device's pool only (ops routed
-//    to one device never occupy another device's slice),
-//  * traffic counters (band sweeps, halo bytes, seam crossings).
+//  * a workspace arena for its shard's residence buffers, plus a warm pool
+//    of leased arenas for the job server's concurrent jobs,
+//  * traffic counters (band sweeps, halo bytes, seam crossings, jobs).
+//
+// The job server (core/server.hpp) runs each job attempt as one task on
+// the device's pool, so work routed to one device never occupies another
+// device's slice.
 //
 // A `DeviceGroup` holds N such devices plus the *peer channels* between
 // them: the same epoch-counted SPSC HaloChannels the persistent engine uses
@@ -33,7 +36,6 @@
 
 #include "common/thread_pool.hpp"
 #include "gpusim/persistent.hpp"
-#include "gpusim/stream.hpp"
 
 namespace ssam::sim {
 
@@ -51,7 +53,7 @@ struct DeviceCounters {
   std::atomic<std::uint64_t> halo_bytes_out{0};   ///< boundary bytes published
   std::atomic<std::uint64_t> seam_bytes_out{0};   ///< subset crossing a device seam
   std::atomic<std::uint64_t> seam_epochs_out{0};  ///< seam boundary publications
-  std::atomic<std::uint64_t> jobs_completed{0};   ///< server jobs retired here
+  std::atomic<std::uint64_t> jobs_completed{0};   ///< server job attempts run here
 
   void reset() {
     sweeps.store(0, std::memory_order_relaxed);
@@ -106,7 +108,7 @@ class WorkspaceLease {
   std::unique_ptr<PersistentWorkspace> ws_;
 };
 
-/// One virtual device: a pool slice + workspace + stream set + counters.
+/// One virtual device: a pool slice + workspaces + counters.
 class Device {
  public:
   Device(int index, DeviceOptions opt);
@@ -120,12 +122,6 @@ class Device {
   [[nodiscard]] PersistentWorkspace& workspace() { return workspace_; }
   [[nodiscard]] DeviceCounters& counters() { return counters_; }
 
-  /// The device's stream set, grown lazily; `stream(0)` is the default
-  /// stream. Streams are bound to the device pool: their drains run on this
-  /// device's workers only.
-  [[nodiscard]] Stream& stream(std::size_t i = 0);
-  [[nodiscard]] std::size_t stream_count() const;
-
   /// Borrows a workspace arena from the device's warm pool, creating one
   /// only when the pool is empty. Unlike `workspace()` (the device's single
   /// shard-residence arena), leased workspaces let several jobs share one
@@ -138,19 +134,6 @@ class Device {
     return workspaces_created_.load(std::memory_order_relaxed);
   }
 
-  // Job accounting, maintained by the scheduler (core/server.hpp): a
-  // device is a packing target while `active_jobs()` is under its cap and
-  // `idle()` devices are preferred for new work.
-  void job_started() { active_jobs_.fetch_add(1, std::memory_order_relaxed); }
-  void job_finished() {
-    active_jobs_.fetch_sub(1, std::memory_order_relaxed);
-    counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] int active_jobs() const {
-    return active_jobs_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool idle() const { return active_jobs() == 0; }
-
  private:
   friend class WorkspaceLease;
   void return_workspace(std::unique_ptr<PersistentWorkspace> ws);
@@ -160,9 +143,6 @@ class Device {
   std::unique_ptr<ThreadPool> pool_;
   PersistentWorkspace workspace_;
   DeviceCounters counters_;
-  mutable std::mutex streams_m_;
-  std::vector<std::unique_ptr<Stream>> streams_;
-  std::atomic<int> active_jobs_{0};
   std::atomic<std::uint64_t> workspaces_created_{0};
   std::mutex spares_m_;
   std::vector<std::unique_ptr<PersistentWorkspace>> spare_workspaces_;

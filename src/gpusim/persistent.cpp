@@ -4,23 +4,10 @@
 
 namespace ssam::sim {
 
-void HaloChannel::configure(std::size_t slot_bytes, int depth) {
-  depth_ = depth < 2 ? 2 : depth;
-  slot_bytes_ = slot_bytes;
-  external_[0] = nullptr;
-  external_[1] = nullptr;
-  slots_.resize(slot_bytes_ * static_cast<std::size_t>(depth_));
-  published_.store(-1, std::memory_order_relaxed);
-  released_.store(-1, std::memory_order_relaxed);
-}
-
 void HaloChannel::configure_external(std::byte* dst_even, std::byte* dst_odd) {
   SSAM_REQUIRE(dst_even != nullptr && dst_odd != nullptr, "null external halo slots");
-  depth_ = 2;  // the consumer's buffer pair IS the ring
-  slot_bytes_ = 0;
   external_[0] = dst_even;
   external_[1] = dst_odd;
-  slots_.clear();
   published_.store(-1, std::memory_order_relaxed);
   released_.store(-1, std::memory_order_relaxed);
 }

@@ -16,9 +16,9 @@
 //
 // Three pieces live here; the stencil-specific tile state machines are in
 // core/iterate_persistent.hpp:
-//  * HaloChannel — an epoch-indexed SPSC ring of byte slots with
-//    acquire/release publication. Depth >= 2 guarantees global progress
-//    (see run_persistent below).
+//  * HaloChannel — an epoch-indexed SPSC handoff of boundary data into the
+//    consumer's two residence buffers, with acquire/release publication.
+//    Its depth of 2 guarantees global progress (see run_persistent below).
 //  * PersistentTask — the polled interface of one resident tile.
 //  * run_persistent — the cooperative scheduler: participants claim tiles
 //    exactly once, burst each owned tile as far as its channels allow, and
@@ -40,45 +40,34 @@
 namespace ssam::sim {
 
 /// Lock-free epoch-indexed halo channel between two neighbouring tiles
-/// (single producer, single consumer). The producer publishes the boundary
-/// rows/planes of state s into slot s % depth; the consumer acquires epoch
-/// s and releases it so the slot can be reused for epoch s + depth. All
-/// ordering is acquire/release on the two epoch counters — the slot bytes
-/// themselves are plain memory handed off by the counters.
+/// (single producer, single consumer), zero-copy: its two slots ARE the
+/// halo regions of the consumer's two residence buffers (every tile flips
+/// buffers once per sweep, so epoch e's halo lives in buffer e % 2). The
+/// producer writes the boundary rows/planes of state e directly where the
+/// consumer's sweep will read them; the consumer acquires epoch e and
+/// releases it so the slot can be reused for epoch e + 2. All ordering is
+/// acquire/release on the two epoch counters — the slot bytes themselves
+/// are plain memory handed off by the counters.
 ///
-/// Two storage modes:
-///  * internal — the channel owns its ring of slots; the consumer copies
-///    the payload out between `available` and `release`.
-///  * external (zero-copy) — the slots ARE the consumer's two residence
-///    buffers' halo regions (every tile flips buffers once per sweep, so
-///    epoch e's halo lives in buffer e % 2). The producer writes the
-///    boundary directly where the consumer's sweep will read it; no
-///    consumer-side copy exists, and depth is pinned at 2 by the buffer
-///    pair.
+/// The depth of 2, pinned by the buffer pair, is also the minimum that
+/// keeps the wavefront moving: with depth 1 two neighbours at the same step
+/// could block each other (publish needs the consumer to have released the
+/// previous epoch).
 class HaloChannel {
  public:
-  /// (Re)shapes the channel: `depth` slots of `slot_bytes` each, epochs
-  /// reset. Depth is clamped to >= 2 — with depth 1 two neighbours at the
-  /// same step could block each other (publish needs the consumer to have
-  /// released the previous epoch), stalling the wavefront.
-  void configure(std::size_t slot_bytes, int depth);
-
-  /// Zero-copy mode: epoch e's slot is `dst[e % 2]` (the halo region of
-  /// the consumer's even/odd residence buffer). Depth is 2 by construction.
+  /// Points the channel at the consumer's even/odd halo regions and resets
+  /// the epochs: epoch e's slot is `dst[e % 2]`.
   void configure_external(std::byte* dst_even, std::byte* dst_odd);
 
   /// True when epoch `e` may be published (the consumer has released
-  /// e - depth, so the slot is free).
+  /// e - kDepth, so the slot is free).
   [[nodiscard]] bool can_publish(std::int64_t e) const {
-    return e <= released_.load(std::memory_order_acquire) + depth_;
+    return e <= released_.load(std::memory_order_acquire) + kDepth;
   }
 
   /// Slot to write epoch `e`'s payload into. Only valid when
   /// `can_publish(e)`; call `publish(e)` after the payload is complete.
-  [[nodiscard]] std::byte* publish_slot(std::int64_t e) {
-    if (external_[0] != nullptr) return external_[e & 1];
-    return slots_.data() + static_cast<std::size_t>(e % depth_) * slot_bytes_;
-  }
+  [[nodiscard]] std::byte* publish_slot(std::int64_t e) { return external_[e & 1]; }
 
   /// Makes epoch `e` visible to the consumer (release store).
   void publish(std::int64_t e) { published_.store(e, std::memory_order_release); }
@@ -88,24 +77,12 @@ class HaloChannel {
     return published_.load(std::memory_order_acquire) >= e;
   }
 
-  /// Read side of epoch `e`'s slot. Only valid between `available(e)` and
-  /// `release(e)`.
-  [[nodiscard]] const std::byte* peek(std::int64_t e) const {
-    if (external_[0] != nullptr) return external_[e & 1];
-    return slots_.data() + static_cast<std::size_t>(e % depth_) * slot_bytes_;
-  }
-
   /// Returns epoch `e`'s slot to the producer.
   void release(std::int64_t e) { released_.store(e, std::memory_order_release); }
 
-  [[nodiscard]] std::size_t slot_bytes() const { return slot_bytes_; }
-  [[nodiscard]] int depth() const { return depth_; }
-
  private:
-  std::vector<std::byte> slots_;
+  static constexpr std::int64_t kDepth = 2;  ///< the consumer's buffer pair
   std::byte* external_[2] = {nullptr, nullptr};
-  std::size_t slot_bytes_ = 0;
-  int depth_ = 2;
   std::atomic<std::int64_t> published_{-1};
   std::atomic<std::int64_t> released_{-1};
 };
@@ -150,7 +127,7 @@ void run_grid_on_caller(const ArchSpec& arch, const LaunchConfig& cfg, Body&& bo
 /// participant whose owned tiles are all blocked claims another unclaimed
 /// tile — so even a single participant ends up owning the whole grid and
 /// the run completes (channel depth >= 2 makes the globally least-advanced
-/// tile always advanceable; see HaloChannel::configure).
+/// tile always advanceable; see HaloChannel).
 void run_persistent(std::span<PersistentTask* const> tasks);
 
 /// Same cooperative scheduler on an explicit pool — the per-device entry
@@ -185,7 +162,7 @@ class PersistentWorkspace {
   /// with one call.
   [[nodiscard]] std::byte* arena(std::size_t bytes);
 
-  /// `count` channels for the caller to configure (staged or external).
+  /// `count` channels for the caller to configure.
   [[nodiscard]] std::span<HaloChannel> channels(std::size_t count);
 
   /// Second grow-only 64-byte-aligned block, independent of `arena`. The

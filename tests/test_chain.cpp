@@ -46,20 +46,13 @@ namespace {
 
 using namespace ssam;
 using ssam::testing::bits_equal;
+using ssam::testing::env_positive_int;
 using ssam::testing::PoolSizeGuard;
 
-int env_int(const char* name, int fallback) {
-  if (const char* v = std::getenv(name)) {
-    const int n = std::atoi(v);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
-
 /// >= 200 seeded cases locally; sanitizer CI legs pin SSAM_CHAIN_CASES=40.
-int total_cases() { return env_int("SSAM_CHAIN_CASES", 200); }
+int total_cases() { return env_positive_int("SSAM_CHAIN_CASES", 200); }
 std::uint64_t base_seed() {
-  return static_cast<std::uint64_t>(env_int("SSAM_CHAIN_SEED", 0xc4a15));
+  return static_cast<std::uint64_t>(env_positive_int("SSAM_CHAIN_SEED", 0xc4a15));
 }
 
 core::StencilShape<float> random_shape(SplitMix64& rng) {

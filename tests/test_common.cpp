@@ -13,10 +13,12 @@
 #include "common/table.hpp"
 #include "core/stencil_suite.hpp"
 #include "paperdata/paper_values.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace ssam;
+using ssam::testing::env_positive_int;
 
 TEST(Grid2D, RowMajorLayoutAndViews) {
   Grid2D<int> g(4, 3);
@@ -219,6 +221,31 @@ TEST(Config, EmptyEnvValueFallsBackToDefault) {
 TEST(Config, DescribeNamesTuneKnobs) {
   const core::SimConfig c = core::config_from_env();
   EXPECT_NE(c.describe().find("tune_cache="), std::string::npos);
+}
+
+TEST(TestKnobs, MalformedCaseCountsFailLoudly) {
+  // The differential suites read SSAM_SHARD_CASES / SSAM_CHAIN_CASES through
+  // this helper. std::atoi read "4O" as 4 and "0" as the fallback, so a
+  // typo in a sanitizer leg that pins 40 cases silently ran 200.
+  for (const char* name : {"SSAM_SHARD_CASES", "SSAM_CHAIN_CASES"}) {
+    for (const char* bad : {"4O", "0"}) {
+      ScopedEnv env(name, bad);
+      try {
+        (void)env_positive_int(name, 200);
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+    {
+      ScopedEnv env(name, "40");
+      EXPECT_EQ(env_positive_int(name, 200), 40);
+    }
+    {
+      ScopedEnv env(name, "");
+      EXPECT_EQ(env_positive_int(name, 200), 200);
+    }
+  }
 }
 
 }  // namespace

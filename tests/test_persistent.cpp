@@ -16,6 +16,7 @@
 //    equation shape) matches the relaunch fallback bit for bit.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -42,29 +43,31 @@ using ssam::testing::PoolSizeGuard;
 // ------------------------------------------------------------ halo channels
 
 TEST(HaloChannelTest, EpochRingHandshake) {
+  // Wired as the engine wires it: the two slots are the consumer's even/odd
+  // halo regions, and the window is the depth 2 of that buffer pair.
+  constexpr std::size_t kSlot = 256;
+  std::vector<std::byte> even(kSlot), odd(kSlot);
   sim::HaloChannel ch;
-  ch.configure(16, 3);
-  EXPECT_EQ(ch.depth(), 3);
+  ch.configure_external(even.data(), odd.data());
   EXPECT_FALSE(ch.available(0));
   EXPECT_TRUE(ch.can_publish(0));
-  EXPECT_TRUE(ch.can_publish(2));   // depth slots ahead of released = -1
-  EXPECT_FALSE(ch.can_publish(3));  // would overwrite an unreleased slot
-  for (std::int64_t e = 0; e < 3; ++e) {
-    std::memset(ch.publish_slot(e), static_cast<int>('a' + e), 16);
+  EXPECT_TRUE(ch.can_publish(1));   // depth slots ahead of released = -1
+  EXPECT_FALSE(ch.can_publish(2));  // would overwrite an unreleased slot
+  for (std::int64_t e = 0; e < 2; ++e) {
+    EXPECT_EQ(ch.publish_slot(e), (e % 2 == 0 ? even : odd).data());
+    std::memset(ch.publish_slot(e), static_cast<int>('a' + e), kSlot);
     ch.publish(e);
   }
-  EXPECT_TRUE(ch.available(2));
-  EXPECT_FALSE(ch.can_publish(3));
-  EXPECT_EQ(*reinterpret_cast<const char*>(ch.peek(1)), 'b');
+  EXPECT_TRUE(ch.available(1));
+  EXPECT_FALSE(ch.can_publish(2));
+  EXPECT_EQ(static_cast<char>(odd[kSlot - 1]), 'b');
   ch.release(0);
-  EXPECT_TRUE(ch.can_publish(3));
-  EXPECT_FALSE(ch.can_publish(4));
-}
-
-TEST(HaloChannelTest, DepthClampedToTwo) {
-  sim::HaloChannel ch;
-  ch.configure(8, 1);  // depth 1 could deadlock the wavefront; clamped
-  EXPECT_GE(ch.depth(), 2);
+  EXPECT_TRUE(ch.can_publish(2));
+  EXPECT_FALSE(ch.can_publish(3));
+  EXPECT_EQ(ch.publish_slot(2), even.data());  // epoch 2 reuses epoch 0's slot
+  ch.configure_external(even.data(), odd.data());  // rewiring resets the epochs
+  EXPECT_FALSE(ch.available(0));
+  EXPECT_FALSE(ch.can_publish(2));
 }
 
 // ---------------------------------------------- determinism and golden parity

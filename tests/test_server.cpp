@@ -8,9 +8,11 @@
 //    starved beyond its share in any completion prefix;
 //  * admission control rejects beyond max_pending and keeps the accepted
 //    backlog intact;
-//  * a 1-device x 1-worker x 1-stream server cannot deadlock, including
-//    persistent-engine jobs (cooperative scheduling from the drain worker);
-//  * workspace leases come back warm (no new arenas after the first wave);
+//  * a 1-device x 1-worker x 1-slot server cannot deadlock, including
+//    persistent-engine jobs (cooperative scheduling from the worker that
+//    runs the job);
+//  * workspace leases come back warm (a device never holds more arenas
+//    than it runs jobs at once);
 //  * invalid jobs fail their future with an error instead of killing the
 //    server; the resolved SimConfig is printable.
 #include <gtest/gtest.h>
@@ -187,14 +189,13 @@ TEST(SimServerTest, ConcurrentSubmissionMatchesDirectCalls) {
 // --------------------------------------------------------------- fair queuing
 
 TEST(SimServerTest, WeightedFairQueuingStarvesNoTenant) {
-  // One device, one stream, one slot: completion order == dispatch order,
+  // One device, one worker, one slot: completion order == dispatch order,
   // so JobResult::seq exposes the scheduler's choices exactly. Tenant 0
   // has weight 3, tenant 1 weight 1; with equal-cost jobs every completion
   // prefix must hold close to a 3:1 split — neither tenant starved.
   sim::DeviceGroup group({sim::DeviceOptions{1, {}, "fair0"}});
   core::ServerOptions so;
   so.group = &group;
-  so.streams_per_device = 1;
   so.max_in_flight_per_device = 1;
   so.start_paused = true;
   core::SimServer server(so);
@@ -273,15 +274,14 @@ TEST(SimServerTest, AdmissionControlRejectsBeyondMaxPending) {
 
 // ----------------------------------------------------------- deadlock freedom
 
-TEST(SimServerTest, OneWorkerOneStreamServerCannotDeadlock) {
-  // The tightest configuration: every job slot, stream drain, kernel
-  // fan-out, and persistent tile schedule shares ONE worker thread. The
-  // persistent engine's cooperative scheduler and the pool's caller
-  // participation must compose with the stream drain, or this hangs.
+TEST(SimServerTest, OneWorkerOneSlotServerCannotDeadlock) {
+  // The tightest configuration: every job attempt, kernel fan-out, and
+  // persistent tile schedule shares ONE worker thread. The persistent
+  // engine's cooperative scheduler and the pool's caller participation
+  // must compose with the pool task running the job, or this hangs.
   sim::DeviceGroup group({sim::DeviceOptions{1, {}, "solo"}});
   core::ServerOptions so;
   so.group = &group;
-  so.streams_per_device = 1;
   so.max_in_flight_per_device = 1;
   core::SimServer server(so);
 
@@ -335,34 +335,35 @@ TEST(SimServerTest, DestructionDrainRacesCompletionCallbacks) {
 // ------------------------------------------------------------ workspace reuse
 
 TEST(SimServerTest, WorkspaceLeasesComeBackWarm) {
+  // The lease pool's contract: a lease returns its arena to the device's
+  // warm pool, so a device never creates more arenas than it runs jobs at
+  // once (`max_in_flight_per_device`), however many waves go through it.
   sim::DeviceGroup group(sim::DeviceGroup::even_slices(2));
   core::ServerOptions so;
   so.group = &group;
   core::SimServer server(so);
 
-  auto run_wave = [&](std::uint64_t seed) {
-    std::deque<Case> cases = build_cases(8, seed);
+  constexpr int kWaves = 4;
+  constexpr int kJobsPerWave = 8;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::deque<Case> cases = build_cases(kJobsPerWave, 9100 + 100 * wave);
     std::vector<core::JobFuture> futures;
     for (std::size_t i = 0; i < cases.size(); ++i) {
       futures.push_back(server.submit(cases[i].job(0)));
     }
     for (auto& f : futures) EXPECT_EQ(f.wait().status, core::JobStatus::kCompleted);
-  };
-  run_wave(9100);
-  server.drain();
-  std::uint64_t created_after_first = 0;
-  for (int d = 0; d < group.size(); ++d) {
-    created_after_first += group.device(d).workspaces_created();
+    server.drain();
   }
-  run_wave(9200);
-  server.drain();
-  std::uint64_t created_after_second = 0;
+  std::uint64_t created = 0;
   for (int d = 0; d < group.size(); ++d) {
-    created_after_second += group.device(d).workspaces_created();
-    EXPECT_TRUE(group.device(d).idle());
+    const std::uint64_t dev_created = group.device(d).workspaces_created();
+    EXPECT_LE(dev_created, static_cast<std::uint64_t>(so.max_in_flight_per_device))
+        << "device " << d << " carved more arenas than it runs jobs at once";
+    created += dev_created;
   }
-  EXPECT_EQ(created_after_second, created_after_first)
-      << "second wave should reuse warm arenas, not carve new ones";
+  EXPECT_GT(created, 0u);
+  EXPECT_LT(created, static_cast<std::uint64_t>(kWaves * kJobsPerWave))
+      << "leased arenas should come back warm, not be carved per job";
 }
 
 // ------------------------------------------------------------- failure path

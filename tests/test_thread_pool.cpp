@@ -1,11 +1,9 @@
-// The execution service: work-stealing pool, streams, events.
+// The execution service: the work-stealing thread pool.
 //
 // Pins the contracts the job server relies on:
 //  * functional results are bit-identical across pool sizes (1, 4, and the
 //    machine's hardware_concurrency) for scan, conv2d and the temporal
 //    stencil — block scheduling must never leak into results;
-//  * host ops on a stream run in FIFO order, and a stream may be destroyed
-//    from its own completion callback without losing queued ops;
 //  * the pool parallel loops behave (caller participation, nesting, empty
 //    and tiny ranges).
 #include <gtest/gtest.h>
@@ -13,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -25,7 +22,6 @@
 #include "core/stencil2d_temporal.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
-#include "gpusim/stream.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -146,56 +142,6 @@ TEST(PoolDeterminism, TemporalStencilBitIdenticalAcrossPoolSizes) {
         return std::vector<float>(out.data(), out.data() + out.size());
       },
       "temporal stencil");
-}
-
-// ------------------------------------------------------- streams and events
-
-TEST(StreamTest, HostOpsRunInStreamOrder) {
-  sim::Stream stream(ThreadPool::global());
-  std::vector<int> order;
-  for (int i = 0; i < 64; ++i) {
-    stream.host([&order, i] { order.push_back(i); });
-  }
-  stream.synchronize();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(StreamTest, DefaultEventIsSignalled) {
-  sim::Event ev;
-  EXPECT_TRUE(ev.ready());
-  ev.wait();  // must not block
-  sim::Stream stream(ThreadPool::global());
-  int ran = 0;
-  stream.host([&ran] { ran = 1; });
-  stream.synchronize();
-  EXPECT_EQ(ran, 1);
-}
-
-// ------------------------------------------- stream destruction under churn
-
-TEST(StreamChurnTest, DestroyStreamFromOwnCompletionCallback) {
-  // Server-style completion: a continuation on an op's event releases the
-  // last handle to the stream. When the op finished just before on_ready
-  // is attached the continuation runs here; otherwise it runs inside the
-  // stream's own drain — ~Stream must not wait on work only that thread
-  // can finish, and the ops queued behind the destroyed handle must still
-  // run.
-  PoolSizeGuard guard;
-  for (int workers : {1, 4}) {
-    ThreadPool::reset_global(workers);
-    for (int round = 0; round < 16; ++round) {
-      std::atomic<int> ran{0};
-      auto stream = std::make_unique<sim::Stream>(ThreadPool::global());
-      const sim::Event first = stream->host([&ran] { ran.fetch_add(1); });
-      (void)stream->host([&ran] { ran.fetch_add(1); });
-      const sim::Event last = stream->host([&ran] { ran.fetch_add(1); });
-      first.on_ready([&stream] { stream.reset(); });
-      last.wait();
-      EXPECT_EQ(ran.load(), 3) << "workers=" << workers << " round=" << round;
-      EXPECT_EQ(stream, nullptr);
-    }
-  }
 }
 
 }  // namespace

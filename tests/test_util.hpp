@@ -1,5 +1,6 @@
 // Shared test helpers: the FNV-1a golden hash, bit-exact parity assertions,
-// and the global-pool restore guard. One definition serves every suite so
+// the global-pool restore guard, and the strict reader of the suites'
+// case-count knobs. One definition serves every suite so
 // hashes stay comparable across tests (and across SIMD backends — the
 // cross-backend goldens in test_simd_parity.cpp and the persistent/sharded
 // parity pins hash with the same function).
@@ -7,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
 namespace ssam::testing {
@@ -53,5 +58,21 @@ struct PoolSizeGuard {
   PoolSizeGuard& operator=(const PoolSizeGuard&) = delete;
   ~PoolSizeGuard() { ThreadPool::reset_global(hardware_concurrency()); }
 };
+
+/// A suite knob (`SSAM_SHARD_CASES`, `SSAM_CHAIN_SEED`, ...) as a positive
+/// decimal integer, or `fallback` when the variable is unset or empty.
+/// Anything else (`4O`, `0`, `-1`, ` 4`) throws PreconditionError naming the
+/// variable, like the SSAM_* knobs of core/config.cpp: a typo in a CI leg
+/// that pins 40 cases must fail, not silently run the default 200.
+inline int env_positive_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  int parsed = 0;
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  SSAM_REQUIRE(ec == std::errc() && ptr == end && parsed > 0,
+               std::string(name) + "=\"" + v + "\" is not a positive decimal integer");
+  return parsed;
+}
 
 }  // namespace ssam::testing

@@ -30,7 +30,6 @@ LAYER_HEADERS = [
     "src/gpusim/vec.hpp",
     "src/gpusim/warp.hpp",
     "src/gpusim/launch.hpp",
-    "src/gpusim/stream.hpp",
     "src/gpusim/persistent.hpp",
     "src/gpusim/device.hpp",
     "src/core/iterate.hpp",
