@@ -1,208 +1,79 @@
-// Subsystem 9: the auto-scheduler — schedule-as-data over the PR 1-8 knobs.
+// Subsystem 9: the auto-scheduler — schedule-as-data over the bit-safe knobs.
 //
-// Every execution knob the stack grew (IterationPolicy, tile count,
-// ShardPolicy, temporal depth t, sliding-window p, block width) was still
-// hand-picked per example. This layer makes them self-service, Halide
-// style: a `Schedule` is plain serializable data, a cost model seeded from
-// the paper's latency equations (perfmodel/latency_model.hpp) and
-// calibrated at first use by the Table-2 dependent-chain microbenchmarks
-// (gpusim/microbench.hpp) plus one short wall-clock probe ranks the
-// candidate space, and the top-k candidates are settled by on-line
-// best-of-k measurement on throwaway proxy grids (the PERKS
-// generate-then-measure idiom). Winners persist in a per-host JSON cache —
-// keyed by (kernel kind, grid shape, schedule-relevant hints, host
-// fingerprint from SimConfig) under ~/.cache/ssam/ (SSAM_TUNE_CACHE
-// overrides the file) — so the serving path pays for a schedule once per
-// host, ever: a cache hit performs ZERO measurements.
+// Every execution knob the stack grew (IterationPolicy, tile count, temporal
+// depth t, sliding-window p, block width) was still hand-picked per example.
+// This layer picks the two that cannot change a result — iteration policy
+// and resident tile count — with the paper's latency model
+// (perfmodel/latency_model.hpp, Eq. 4): the pick is the argmin of a cost
+// model over {relaunch} ∪ {persistent × tiles {0, w, 2w, 4w, 8w}}, where w
+// is the lane width the job will run on. The model alone decides: there is
+// no measurement, no calibration, no file and no RNG, so the same job on the
+// same lane width always gets the same schedule.
 //
-// The search space is exactly the bit-safe knobs: policy, tiles, shards.
-// Those are proven output-invariant by the differential suites (sharding,
-// persistent-vs-relaunch, chain). Temporal depth `t` changes floating-point
-// association order — it is DATA carried by the schedule, never searched.
-// Same for p/block_threads (request semantics). Consequence: a tuned run is
-// bit-identical to the default run of the same job, which is what lets
-// `JobHints::auto_tune` default-off jobs and tuned jobs share one
-// differential test.
+// Policy and tiles are proven output-invariant by the differential suites
+// (persistent-vs-relaunch, chain). Temporal depth `t` changes floating-point
+// association order — it is data of the request, never searched. Same for
+// p/block_threads. Consequence: a tuned run is bit-identical to the default
+// run of the same job, which is what lets `JobHints::auto_tune` default-off
+// jobs and tuned jobs share one differential test.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/job.hpp"
 #include "gpusim/arch.hpp"
-#include "perfmodel/latency_model.hpp"
 
 namespace ssam::core {
 
-/// A complete execution schedule as plain data. The searched knobs are
-/// policy/tiles/shards; t, p, block_threads and the pool width are carried
-/// along so a cache entry records the full context it was tuned under.
+/// The searched knobs of an execution schedule, as plain data.
 struct Schedule {
   IterationPolicy policy = IterationPolicy::kAuto;
-  int tiles = 0;   ///< persistent band tiles (0: auto_tiles_for)
-  int shards = 0;  ///< 0: single pool; > 0: ShardPolicy::sharded(shards)
-  int t = 1;       ///< fused time steps per sweep (data, not searched)
-  int p = 4;
-  int block_threads = 128;
-  int threads = 0;  ///< pool width the schedule was tuned for (record only)
+  int tiles = 0;  ///< persistent band tiles (0: auto_tiles_for)
 
-  /// One deterministic line, e.g.
-  /// "policy=persistent tiles=8 shards=2 t=1 p=4 block=128 threads=4".
+  /// One deterministic line, e.g. "policy=persistent tiles=8".
   [[nodiscard]] std::string describe() const;
 
   [[nodiscard]] bool operator==(const Schedule& o) const {
-    return policy == o.policy && tiles == o.tiles && shards == o.shards &&
-           t == o.t && p == o.p && block_threads == o.block_threads &&
-           threads == o.threads;
+    return policy == o.policy && tiles == o.tiles;
   }
 };
 
-/// Where a resolved schedule came from.
-enum class TuneOrigin {
-  kDefault,    ///< untunable kind (conv2d) — the hinted schedule, unchanged
-  kCacheHit,   ///< served from the per-host cache: zero measurements
-  kMeasured,   ///< guided search: model-ranked top-k, measured, persisted
-  kModelOnly,  ///< search with measurement disabled (top_k = 0)
-};
+/// No options remain; kept for resolve_cache_path's signature, which
+/// perfbench/src/serve_mixed.cpp calls.
+struct TunerOptions {};
 
-[[nodiscard]] const char* tune_origin_name(TuneOrigin o);
-
-struct TuneResult {
-  Schedule schedule;
-  TuneOrigin origin = TuneOrigin::kDefault;
-  double predicted_ms = 0.0;  ///< cost-model estimate for the full job
-  double measured_ms = 0.0;   ///< best proxy measurement (0: not measured)
-};
-
-/// One entry of the model-ranked candidate list (exposed for the
-/// determinism tests and the bench's hand-tuned sweep).
-struct Candidate {
-  Schedule schedule;
-  double predicted_ms = 0.0;
-};
-
-/// Monotone counters over the tuner's lifetime — the warm-path guarantees
-/// ("cache hit = zero measurements") are asserted against these.
+/// perfbench/src/serve_mixed.cpp reads `measurements`; the tuner never
+/// measures, so it is always 0.
 struct TuneStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t tunes = 0;
-  std::uint64_t measurements = 0;  ///< proxy runs executed (reps included)
+  std::uint64_t measurements = 0;
 };
 
-/// The calibrated cost model. Latencies are seeded from the ArchSpec table
-/// and replaced by the measured dependent-chain values (closing the same
-/// loop bench_table2_microbench closes); `ms_per_unit` converts model units
-/// to host milliseconds via one short wall-clock probe.
-struct CostModel {
-  perf::MicroLatencies lat;
-  double ms_per_unit = 0.0;
-  bool calibrated = false;
-
-  /// Model-unit cost of the full job under `s` (lower is better). Pure —
-  /// candidate ranking must be deterministic.
-  [[nodiscard]] double predict_units(const SimJob& job, const Schedule& s,
-                                     int pool_workers) const;
-  [[nodiscard]] double predict_ms(const SimJob& job, const Schedule& s,
-                                  int pool_workers) const {
-    return predict_units(job, s, pool_workers) * ms_per_unit;
-  }
-};
-
-struct TunerOptions {
-  /// Cache file. Empty: SimConfig::tune_cache (SSAM_TUNE_CACHE), else the
-  /// per-host default under ~/.cache/ssam/. "off" disables persistence
-  /// (in-memory cache only).
-  std::string cache_path;
-  /// Candidates measured beyond the always-measured default schedule.
-  /// 0: model-only pick (deterministic — the sanitizer legs and the seeded
-  /// determinism test run here). < 0: SimConfig::tune_topk, else 4.
-  int top_k = -1;
-  int proxy_sweeps = 6;  ///< sweeps per proxy measurement (clamped to job)
-  int reps = 2;          ///< best-of reps per measured candidate
-  std::uint64_t seed = 0x55A31ull;  ///< proxy grid fill seed
-  /// Tests only: impersonate another host (fingerprint-mismatch coverage).
-  std::string fingerprint_override;
-};
-
-/// The guided-search tuner. Thread-safe; `global()` is the instance
-/// `JobHints::auto_tune` resolves through.
+/// The model-decided tuner. Stateless, hence thread-safe.
 class AutoTuner {
  public:
-  explicit AutoTuner(TunerOptions opt = {});
-
+  /// The instance perfbench/src/serve_mixed.cpp resolves through.
   static AutoTuner& global();
 
-  /// Resolves the schedule for `job`: cache hit (zero measurements) or one
-  /// guided search (model-ranked pruning, then best-of-k measurement of the
-  /// top candidates + the default schedule) whose winner is persisted.
-  /// `device`: the lane a pinned job will run on — measurement uses the
-  /// same lane and the candidate space drops sharding (a device-pinned run
-  /// cannot shard).
-  TuneResult resolve(const sim::ArchSpec& arch, const SimJob& job,
-                     sim::Device* device = nullptr);
-
-  /// The deterministic model-ranked candidate list (best predicted first).
-  /// Exposed for the determinism tests and the bench's hand-tuned sweep.
-  [[nodiscard]] std::vector<Candidate> candidates(const sim::ArchSpec& arch,
-                                                  const SimJob& job,
-                                                  bool allow_shards);
-
-  /// Lazily calibrates (microbench sweep + wall-clock probe) and returns
-  /// the model.
-  const CostModel& model(const sim::ArchSpec& arch);
-
-  [[nodiscard]] TuneStats stats() const;
-
-  /// Drops the in-memory cache so the next resolve re-reads the file
-  /// (tests: simulate a fresh process against a warm cache file).
-  void reload();
+  /// The schedule for `job`: the hinted policy/tiles for untunable kinds,
+  /// else the model's argmin at the lane width of `device`'s pool (null:
+  /// the global pool's). Pure: no clock, no file, no RNG.
+  [[nodiscard]] static Schedule resolve(const sim::ArchSpec& arch, const SimJob& job,
+                                        sim::Device* device = nullptr);
 
   /// True for kinds with bit-safe schedule knobs (stencil2d/3d, chain).
-  /// Conv2d is a single launch — nothing to schedule — and resolves
-  /// kDefault.
+  /// Conv2d is a single launch — nothing to schedule.
   [[nodiscard]] static bool tunable(JobKind kind);
 
-  /// The cache key: kernel kind, grid shape, steps and the schedule-
-  /// relevant hints, plus the lane scope (pinned runs tune a different
-  /// space than global ones).
-  [[nodiscard]] static std::string cache_key(const SimJob& job, bool pinned);
+  /// Always empty; perfbench/src/serve_mixed.cpp reads it.
+  [[nodiscard]] static TuneStats stats() { return {}; }
 
-  /// The host fingerprint a cache entry is valid under: pool width, device
-  /// count, pinning, SIMD backend, hardware concurrency. A mismatch forces
-  /// a re-tune (the cache is per-host by construction).
-  [[nodiscard]] static std::string host_fingerprint();
+  /// No-op; perfbench/src/serve_mixed.cpp calls it before its cold tunes.
+  static void reload() {}
 
-  /// Resolved cache file path for these options (empty: persistence off).
-  [[nodiscard]] static std::string resolve_cache_path(const TunerOptions& opt);
-
- private:
-  struct Entry {
-    std::string fingerprint;
-    Schedule schedule;
-    double predicted_ms = 0.0;
-    double measured_ms = 0.0;
-  };
-
-  void ensure_loaded_locked();
-  void save_locked() const;
-  void calibrate_locked(const sim::ArchSpec& arch);
-  std::vector<Candidate> ranked_locked(const SimJob& job, int workers,
-                                       bool allow_shards);
-  double measure_locked(const sim::ArchSpec& arch, const SimJob& job,
-                        const Schedule& s, sim::Device* device);
-
-  TunerOptions opt_;
-  mutable std::mutex m_;
-  bool loaded_ = false;
-  std::string path_;  ///< resolved cache file ("" = no persistence)
-  std::unordered_map<std::string, Entry> cache_;
-  CostModel model_;
-  TuneStats stats_;
+  /// Always "" (nothing is persisted); perfbench/src/serve_mixed.cpp calls it.
+  [[nodiscard]] static std::string resolve_cache_path(const TunerOptions&) { return ""; }
 };
 
 }  // namespace ssam::core

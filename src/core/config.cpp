@@ -54,8 +54,6 @@ SimConfig config_from_env() {
   c.policy = IterationPolicy::kAuto;
   c.simd_backend = sim::simd::kBackendName;
   if (const char* v = std::getenv("SSAM_FAULT_SPEC")) c.fault_spec = v;
-  if (const char* v = std::getenv("SSAM_TUNE_CACHE")) c.tune_cache = v;
-  c.tune_topk = env_positive_int("SSAM_TUNE_TOPK", 0);
   return c;
 }
 
@@ -77,9 +75,6 @@ std::string SimConfig::describe() const {
   s += simd_backend;
   s += " faults=";
   s += fault_spec.empty() ? "off" : fault_spec;
-  s += " tune_cache=";
-  s += tune_cache.empty() ? "default" : tune_cache;
-  if (tune_topk > 0) s += " tune_topk=" + std::to_string(tune_topk);
   return s;
 }
 

@@ -39,27 +39,17 @@ struct SimConfig {
   /// config layer only transports the string (core/faultinject.hpp owns the
   /// mini-language).
   std::string fault_spec;
-  /// Autotuner cache file override (SSAM_TUNE_CACHE). Empty: the tuner
-  /// resolves $XDG_CACHE_HOME/ssam/tune_cache.json (else ~/.cache/ssam/).
-  /// The config layer only transports the path (core/autotune.hpp owns the
-  /// cache format).
-  std::string tune_cache;
-  /// Autotuner measured-candidate count override (SSAM_TUNE_TOPK, 0: tuner
-  /// default). Sanitizer CI legs pin this to 1 so instrumented tune runs
-  /// stay short.
-  int tune_topk = 0;
 
   /// One line naming every resolved knob, e.g.
-  /// "threads=4 devices=2 pin=off policy=auto simd=avx2 faults=off
-  /// tune_cache=default".
+  /// "threads=4 devices=2 pin=off policy=auto simd=avx2 faults=off".
   [[nodiscard]] std::string describe() const;
 };
 
 /// Re-reads the environment and returns a freshly resolved SimConfig. All
 /// `SSAM_*` getenv calls in the library live behind this function. Integer
-/// knobs (SSAM_THREADS, SSAM_DEVICES, SSAM_TUNE_TOPK) are parsed strictly:
-/// a malformed or non-positive value throws PreconditionError naming the
-/// variable, like the SSAM_FAULT_SPEC grammar — never a silent fallback.
+/// knobs (SSAM_THREADS, SSAM_DEVICES) are parsed strictly: a malformed or
+/// non-positive value throws PreconditionError naming the variable, like
+/// the SSAM_FAULT_SPEC grammar — never a silent fallback.
 /// The SSAM_DEVICE_PIN flag accepts `0` or `1` and throws on anything else.
 /// An empty value means unset for every knob.
 [[nodiscard]] SimConfig config_from_env();

@@ -17,6 +17,7 @@
 // and untouched until the job's `JobFuture` reports completion.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -35,6 +36,7 @@
 #include "core/iterate_persistent.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/device.hpp"
+#include "perfmodel/latency_model.hpp"
 
 namespace ssam::core {
 
@@ -49,12 +51,11 @@ struct JobHints {
   int p = 4;
   int block_threads = 128;
   int warps3d = 8;
-  /// Resolve policy/tiles/sharding through the autotuner (core/autotune.hpp)
-  /// instead of taking the fields above literally. A per-host cache hit
-  /// costs zero measurements on the serving path; a miss runs the guided
-  /// search once per (kernel, shape, host) and persists the winner. Only the
-  /// bit-safe knobs are tuned — `t`, `p`, `block_threads` stay as hinted, so
-  /// a tuned run is bit-identical to the default run of the same job.
+  /// Pick policy and tiles with the autotuner (core/autotune.hpp) instead of
+  /// taking the fields above literally: the latency model decides, with no
+  /// measurement and no file. Only the bit-safe knobs are tuned — `t`, `p`,
+  /// `block_threads` stay as hinted, so a tuned run is bit-identical to the
+  /// default run of the same job.
   bool auto_tune = false;
 };
 
@@ -180,6 +181,74 @@ struct SimJob {
   }
 };
 
+namespace detail {
+
+/// Horizontal tap extent (the Eq. 4 shuffle axis), active tap count, and the
+/// band-axis extent (rows in 2D, z-planes in 3D — what halos are made of).
+struct TapFootprint {
+  int taps = 1;
+  int mx = 1;
+  int rows = 1;
+};
+
+[[nodiscard]] inline TapFootprint footprint_of(const StencilShape<float>& shape,
+                                               bool three_d) {
+  TapFootprint f;
+  if (shape.taps.empty()) return f;
+  int dx0 = 0, dx1 = 0, dy0 = 0, dy1 = 0, dz0 = 0, dz1 = 0;
+  for (const auto& t : shape.taps) {
+    dx0 = std::min(dx0, t.dx);
+    dx1 = std::max(dx1, t.dx);
+    dy0 = std::min(dy0, t.dy);
+    dy1 = std::max(dy1, t.dy);
+    dz0 = std::min(dz0, t.dz);
+    dz1 = std::max(dz1, t.dz);
+  }
+  f.taps = static_cast<int>(shape.taps.size());
+  f.mx = dx1 - dx0 + 1;
+  f.rows = three_d ? (dz1 - dz0 + 1) : (dy1 - dy0 + 1);
+  return f;
+}
+
+}  // namespace detail
+
+/// Latency-model work units of the whole job: the per-element SSAM latency
+/// (Equation 4, sparse-generalized — the kernels execute exactly the taps a
+/// shape names, so the model charges those taps, not the bounding box) times
+/// cells times sweeps. A chain charges each of its stages (temporal ones t
+/// times); a stencil job charges its `hints.t` fused time steps per sweep.
+/// The server's deadline-shed predictor and the autotuner's compute term
+/// both price jobs with this.
+[[nodiscard]] inline double model_units(const SimJob& job, const perf::MicroLatencies& lat) {
+  const double cells = static_cast<double>(job.cells());
+  switch (job.kind) {
+    case JobKind::kConv2D: {
+      const int m = std::max(1, job.filter_m);
+      return perf::latency_ssam_taps(m * std::max(1, job.filter_n), m, lat) * cells;
+    }
+    case JobKind::kChain: {
+      double per_elem = 0.0;
+      for (const auto& st : job.stages) {
+        const detail::TapFootprint f = detail::footprint_of(st.shape, false);
+        per_elem += perf::latency_ssam_taps(f.taps, f.mx, lat) * std::max(1, st.t);
+        if (st.dual()) {
+          const detail::TapFootprint fb = detail::footprint_of(st.shape_b, false);
+          per_elem += perf::latency_ssam_taps(fb.taps, fb.mx, lat);
+        }
+      }
+      return per_elem * cells;
+    }
+    case JobKind::kStencil2D:
+    case JobKind::kStencil3D: {
+      const detail::TapFootprint f =
+          detail::footprint_of(job.shape, job.kind == JobKind::kStencil3D);
+      return perf::latency_ssam_taps(f.taps, f.mx, lat) * cells *
+             std::max(1, job.hints.t) * std::max(1, job.steps);
+    }
+  }
+  return 0.0;
+}
+
 enum class JobStatus {
   kPending,    ///< not finished yet (never visible through a fulfilled future)
   kRejected,   ///< admission control refused it (queue full / shed / stopped)
@@ -277,10 +346,10 @@ class JobFuture {
   std::shared_ptr<detail::JobState> state_;
 };
 
-/// Defined in core/autotune.cpp: resolves `job` through the global AutoTuner
-/// and applies the tuned schedule's bit-safe knobs (policy, tiles, sharding)
-/// to `popt`. Declared here so run_job stays header-only without a cyclic
-/// include (autotune.hpp includes this header for SimJob).
+/// Defined in core/autotune.cpp: resolves `job` through the AutoTuner and
+/// applies the tuned schedule's bit-safe knobs (policy, tiles) to `popt`.
+/// Declared here so run_job stays header-only without a cyclic include
+/// (autotune.hpp includes this header for SimJob).
 void autotune_apply(const sim::ArchSpec& arch, const SimJob& job,
                     sim::Device* device, PersistentOptions& popt);
 
@@ -304,8 +373,7 @@ inline PersistentRunStats run_job(const sim::ArchSpec& arch, const SimJob& job,
   popt.device = device;
   popt.cancel = job.cancel;
   // The SimServer reaches this line too (it dispatches every job through
-  // run_job), so auto_tune jobs resolve through the tuner on both doors —
-  // and a warm cache keeps the serving path measurement-free.
+  // run_job), so auto_tune jobs resolve through the tuner on both doors.
   if (job.hints.auto_tune) autotune_apply(arch, job, device, popt);
   switch (job.kind) {
     case JobKind::kStencil2D: {

@@ -115,32 +115,6 @@ SimServer::~SimServer() {
   drain();
 }
 
-double SimServer::model_units(const SimJob& job) const {
-  // Per-element SSAM latency (Equation 4, sparse-generalized): the kernels
-  // execute exactly the taps the shape names, so the model charges those
-  // taps — not the bounding-box product, which over-priced star stencils
-  // 2-3x against dense filters and skewed the shared shed EWMA. The shuffle
-  // term follows the HORIZONTAL extent (m in Eq. 4 / conv2d_setup terms):
-  // the register-cache walk moves along x.
-  int taps = 1;
-  int mx = 1;
-  if (job.kind == JobKind::kConv2D) {
-    mx = std::max(1, job.filter_m);
-    taps = mx * std::max(1, job.filter_n);
-  } else if (!job.shape.taps.empty()) {
-    int dx0 = 0, dx1 = 0;
-    for (const auto& t : job.shape.taps) {
-      dx0 = std::min(dx0, t.dx);
-      dx1 = std::max(dx1, t.dx);
-    }
-    mx = dx1 - dx0 + 1;
-    taps = static_cast<int>(job.shape.taps.size());
-  }
-  const double per_elem = perf::latency_ssam_taps(taps, mx, perf::from_arch(*arch_));
-  return per_elem * static_cast<double>(job.cells()) *
-         static_cast<double>(std::max(1, job.steps));
-}
-
 JobFuture SimServer::submit(SimJob job) {
   auto state = std::make_shared<detail::JobState>();
   // Every accepted job gets a live token (the future's cancel() handle);
@@ -169,6 +143,7 @@ JobFuture SimServer::submit(SimJob job) {
 
   bool reject = false;
   JobError reject_err;
+  const double units = model_units(job, perf::from_arch(*arch_));
   {
     std::lock_guard<std::mutex> lock(m_);
     ++submitted_;
@@ -186,7 +161,7 @@ JobFuture SimServer::submit(SimJob job) {
       const double scale = opt_.shed_calibration_ms_per_unit > 0.0
                                ? opt_.shed_calibration_ms_per_unit
                                : ewma_ms_per_unit_;
-      const double predicted = scale * model_units(job);
+      const double predicted = scale * units;
       if (scale > 0.0 && predicted > job.deadline_ms) {
         ++rejected_;
         ++shed_;
@@ -208,7 +183,7 @@ JobFuture SimServer::submit(SimJob job) {
       p.start_tag = start;
       p.finish_tag = start + job.cost() / std::max(w, 1e-9);
       t.last_finish = p.finish_tag;
-      p.units = model_units(job);
+      p.units = units;
       p.submitted_at = Clock::now();
       if (job.deadline_ms > 0.0) {
         p.has_deadline = true;

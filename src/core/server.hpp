@@ -213,9 +213,6 @@ class SimServer {
   // Moves due entries of retry_q_ back to their tenant queues. Lock held.
   bool promote_due_retries_locked(Clock::time_point now);
   void launch_probe(int device);  // called WITHOUT m_ held
-  // Latency-model work units of a job (perfmodel/latency_model.hpp per-
-  // element latency x cells x sweeps) — the shed predictor's x-axis.
-  [[nodiscard]] double model_units(const SimJob& job) const;
   [[nodiscard]] bool idle_locked() const;
 
   ServerOptions opt_;

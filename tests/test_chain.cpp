@@ -136,7 +136,9 @@ TEST(ChainDifferential, RandomizedFusedMatchesStaged) {
     stages.reserve(static_cast<std::size_t>(depth));
     for (int s = 0; s < depth; ++s) stages.push_back(random_stage(rng));
 
-    const int pool = c % 3 == 0 ? 1 : (c % 3 == 1 ? 2 : 4);
+    // Pool size and shard mode come from the seed, not the case index, so
+    // the printed one-case command replays the same combination.
+    const int pool = seed % 3 == 0 ? 1 : (seed % 3 == 1 ? 2 : 4);
     if (pool != cur_pool) {
       ThreadPool::reset_global(pool);
       cur_pool = pool;
@@ -154,13 +156,13 @@ TEST(ChainDifferential, RandomizedFusedMatchesStaged) {
     core::PersistentOptions opt;
     opt.policy = core::IterationPolicy::kPersistent;
     opt.tiles = static_cast<int>(rng.next_below(6));  // 0 = auto
-    const bool shard = c % 2 == 1;
+    const bool shard = seed % 2 == 1;
     // Alternate sharded cases between a pinned device count and the
     // environment-resolved one (sharded(0) reads SSAM_DEVICES — the CI
     // chain matrix axis), so the same seeds cover every matrix cell.
     if (shard) {
-      opt.shard = (c % 4 == 1) ? core::ShardPolicy::sharded(2)
-                               : core::ShardPolicy::sharded(0);
+      opt.shard = (seed % 4 == 1) ? core::ShardPolicy::sharded(2)
+                                  : core::ShardPolicy::sharded(0);
     }
     Grid2D<float> fused(w, h);
     const auto fs = core::run_chain2d<float>(sim::tesla_v100(), src, fused, stages, opt);
@@ -170,18 +172,21 @@ TEST(ChainDifferential, RandomizedFusedMatchesStaged) {
                            static_cast<std::size_t>(src.size())))
         << "depth=" << depth << " pool=" << pool << " tiles=" << opt.tiles
         << " shard="
-        << (!shard ? "single" : (c % 4 == 1 ? "sharded(2)" : "sharded(env)"))
+        << (!shard ? "single" : (seed % 4 == 1 ? "sharded(2)" : "sharded(env)"))
         << " grid=" << w << "x" << h;
   }
 
   // Iteration is a chain of identical stages: k copies of one linear stage
   // at temporal depth t must equal k sweeps of the iteration engine at that
   // t, under both policies and at pool sizes {1, 4}. Own seed range, so the
-  // cases above keep their streams.
+  // cases above keep their streams; case c replays as the first case of
+  // base seed seed0 + c.
   const int iter_cases = std::max(1, cases / 10);
   for (int c = 0; c < iter_cases; ++c) {
     const std::uint64_t seed = seed0 + 0x17e4a000u + static_cast<std::uint64_t>(c);
-    SCOPED_TRACE("identical-stage case seed=" + std::to_string(seed));
+    SCOPED_TRACE("identical-stage case seed=" + std::to_string(seed) +
+                 " (reproduce: SSAM_CHAIN_CASES=1 SSAM_CHAIN_SEED=" +
+                 std::to_string(seed0 + static_cast<std::uint64_t>(c)) + ")");
     SplitMix64 rng(seed);
     const Index w = 33 + static_cast<Index>(rng.next_below(160));
     const Index h = 40 + static_cast<Index>(rng.next_below(170));

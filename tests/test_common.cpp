@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "common/grid.hpp"
@@ -19,6 +18,7 @@ namespace {
 
 using namespace ssam;
 using ssam::testing::env_positive_int;
+using ssam::testing::ScopedEnv;
 
 TEST(Grid2D, RowMajorLayoutAndViews) {
   Grid2D<int> g(4, 3);
@@ -125,28 +125,6 @@ TEST(CeilDiv, Basics) {
   EXPECT_EQ(ceil_div(1, 100), 1);
 }
 
-/// RAII env mutation so a throwing expectation can't leak a malformed knob
-/// into later tests (config() caches at first use, but config_from_env()
-/// re-reads — and other suites in this binary call it).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_.has_value()) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
 TEST(Config, MalformedThreadsThrowsInsteadOfSilentFallback) {
   // std::atoi would have turned "four" into 0 and silently used the
   // hardware default; strict from_chars parsing must refuse it, naming the
@@ -165,15 +143,6 @@ TEST(Config, MalformedThreadsThrowsInsteadOfSilentFallback) {
 TEST(Config, MalformedDevicesThrows) {
   for (const char* bad : {"2x", "two", "0", "-1", "1.5"}) {
     ScopedEnv env("SSAM_DEVICES", bad);
-    EXPECT_THROW((void)core::config_from_env(), PreconditionError) << bad;
-  }
-}
-
-TEST(Config, MalformedTuneTopkThrows) {
-  // Model-only tuning is TunerOptions::top_k = 0; the env knob only takes a
-  // positive measured-candidate count.
-  for (const char* bad : {"0", "-1", "two", "3x"}) {
-    ScopedEnv env("SSAM_TUNE_TOPK", bad);
     EXPECT_THROW((void)core::config_from_env(), PreconditionError) << bad;
   }
 }
@@ -216,11 +185,6 @@ TEST(Config, EmptyEnvValueFallsBackToDefault) {
   const core::SimConfig c = core::config_from_env();
   EXPECT_GE(c.threads, 1);
   EXPECT_EQ(c.devices, 2);
-}
-
-TEST(Config, DescribeNamesTuneKnobs) {
-  const core::SimConfig c = core::config_from_env();
-  EXPECT_NE(c.describe().find("tune_cache="), std::string::npos);
 }
 
 TEST(TestKnobs, MalformedCaseCountsFailLoudly) {

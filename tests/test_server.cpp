@@ -14,7 +14,9 @@
 //  * workspace leases come back warm (a device never holds more arenas
 //    than it runs jobs at once);
 //  * invalid jobs fail their future with an error instead of killing the
-//    server; the resolved SimConfig is printable.
+//    server; the resolved SimConfig is printable;
+//  * the shed predictor's job cost prices a chain stage by stage and a
+//    stencil by its temporal depth.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -399,6 +401,38 @@ TEST(SimServerTest, InvalidJobFailsItsFutureNotTheServer) {
   const core::SimServer::Stats st = server.stats();
   EXPECT_EQ(st.failed, 1u);
   EXPECT_EQ(st.completed, 2u);
+}
+
+// ------------------------------------------------------------ job cost model
+
+TEST(JobCost, ChainCostsTheSumOfItsStages) {
+  // The shed predictor prices a chain stage by stage, not as its first
+  // stage times its depth.
+  const perf::MicroLatencies lat = perf::from_arch(sim::tesla_v100());
+  Grid2D<float> a(64, 48), b(64, 48);
+  const double star =
+      core::model_units(core::SimJob::stencil2d(a, b, core::star2d<float>(1), 1), lat);
+  const double box =
+      core::model_units(core::SimJob::stencil2d(a, b, core::box2d<float>(3, 3), 1), lat);
+  const double chain = core::model_units(
+      core::SimJob::chain2d(a, b,
+                            {core::ChainStage<float>::stencil(core::star2d<float>(1)),
+                             core::ChainStage<float>::stencil(core::box2d<float>(3, 3))}),
+      lat);
+  EXPECT_DOUBLE_EQ(chain, star + box);
+  EXPECT_GT(chain, 2.0 * star);
+}
+
+TEST(JobCost, TemporalDepthScalesStencilCost) {
+  const perf::MicroLatencies lat = perf::from_arch(sim::tesla_v100());
+  Grid2D<float> a(64, 48), b(64, 48);
+  core::JobHints t2;
+  t2.t = 2;
+  const double one =
+      core::model_units(core::SimJob::stencil2d(a, b, core::star2d<float>(1), 3), lat);
+  const double two =
+      core::model_units(core::SimJob::stencil2d(a, b, core::star2d<float>(1), 3, t2), lat);
+  EXPECT_DOUBLE_EQ(two, 2.0 * one);
 }
 
 // ----------------------------------------------------------------- SimConfig

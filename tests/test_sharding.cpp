@@ -82,7 +82,9 @@ TEST(ShardDifferential, Randomized2D) {
     opt.t = radius == 1 ? 1 + static_cast<int>(rng.next_below(3)) : 1;
     opt.tiles = static_cast<int>(rng.next_below(6));  // 0 = auto
     const int sweeps = static_cast<int>(rng.next_below(6));
-    const int devices = 1 + c % 4;  // shard counts {1,2,3,4} all covered
+    // From the seed, not the case index, so the printed one-case command
+    // replays the same shard count; {1,2,3,4} are all covered.
+    const int devices = 1 + static_cast<int>(seed % 4);
     const bool persistent_policy = rng.next_below(2) == 0;
 
     Grid2D<float> src(w, h);
@@ -115,10 +117,14 @@ TEST(ShardDifferential, Randomized2D) {
 
 TEST(ShardDifferential, Randomized3D) {
   const int cases = std::max(1, total_cases() / 3);
-  const std::uint64_t seed0 = base_seed() + 0x3d000000u;
+  // Own seed range; case c replays as the first case of base seed base + c.
+  const std::uint64_t base = base_seed();
+  const std::uint64_t seed0 = base + 0x3d000000u;
   for (int c = 0; c < cases; ++c) {
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(c);
-    SCOPED_TRACE("3D case seed=" + std::to_string(seed));
+    SCOPED_TRACE("3D case seed=" + std::to_string(seed) +
+                 " (reproduce: SSAM_SHARD_CASES=1 SSAM_SHARD_SEED=" +
+                 std::to_string(base + static_cast<std::uint64_t>(c)) + ")");
     SplitMix64 rng(seed);
     const Index nx = 24 + static_cast<Index>(rng.next_below(24));
     const Index ny = 24 + static_cast<Index>(rng.next_below(24));
@@ -128,7 +134,7 @@ TEST(ShardDifferential, Randomized3D) {
     opt.t = 1 + static_cast<int>(rng.next_below(2));
     opt.tiles = static_cast<int>(rng.next_below(5));
     const int sweeps = static_cast<int>(rng.next_below(5));
-    const int devices = 1 + c % 4;
+    const int devices = 1 + static_cast<int>(seed % 4);
     const bool persistent_policy = rng.next_below(2) == 0;
 
     Grid3D<float> src(nx, ny, nz);

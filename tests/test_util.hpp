@@ -1,9 +1,9 @@
 // Shared test helpers: the FNV-1a golden hash, bit-exact parity assertions,
-// the global-pool restore guard, and the strict reader of the suites'
-// case-count knobs. One definition serves every suite so
-// hashes stay comparable across tests (and across SIMD backends — the
-// cross-backend goldens in test_simd_parity.cpp and the persistent/sharded
-// parity pins hash with the same function).
+// the global-pool restore guard, the strict reader of the suites'
+// case-count knobs, and a scoped environment override. One definition
+// serves every suite so hashes stay comparable across tests (and across
+// SIMD backends — the cross-backend goldens in test_simd_parity.cpp and the
+// persistent/sharded parity pins hash with the same function).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
@@ -74,5 +75,29 @@ inline int env_positive_int(const char* name, int fallback) {
                std::string(name) + "=\"" + v + "\" is not a positive decimal integer");
   return parsed;
 }
+
+/// RAII env mutation: sets `name` for the scope and restores the previous
+/// value (or unsets it) on exit, so a throwing expectation cannot leak a
+/// malformed knob into later tests of the same binary.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 }  // namespace ssam::testing
