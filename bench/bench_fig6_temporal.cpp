@@ -17,9 +17,8 @@
 #include "baselines/stencil_temporal.hpp"
 #include "baselines/stencil_tiled.hpp"
 #include "bench_common.hpp"
-#include "core/stencil2d_temporal.hpp"
+#include "core/stencil2d.hpp"
 #include "core/stencil3d.hpp"
-#include "core/stencil3d_temporal.hpp"
 #include "core/stencil_suite.hpp"
 #include "paperdata/paper_values.hpp"
 
@@ -67,10 +66,10 @@ double best_ssam(const sim::ArchSpec& arch, const core::StencilShape<T>& shape,
     const int span = 2 * shape.order;
     for (int t : {1, 2, 3, 4, 6}) {
       if (sim::kWarpSize - t * span < 16) continue;  // keep >= half warp valid
-      core::TemporalSsamOptions opt;
+      core::StencilOptions opt;
       opt.t = t;
-      auto st = core::stencil2d_ssam_temporal<T>(arch, in2.cview(), shape, out2.view(),
-                                                 opt, sim::ExecMode::kTiming, sample);
+      auto st = core::stencil2d_ssam<T>(arch, in2.cview(), shape, out2.view(), opt,
+                                        sim::ExecMode::kTiming, sample);
       best = std::max(best, bench::measure(arch, st, cells, t).gcells);
     }
   } else {
@@ -80,14 +79,14 @@ double best_ssam(const sim::ArchSpec& arch, const core::StencilShape<T>& shape,
     best = bench::measure(arch, st, cells).gcells;
     // In-register 3D temporal blocking (register pressure limits the depth).
     for (int t : {2, 3}) {
-      core::Temporal3DOptions opt;
+      core::Stencil3DOptions opt;
       opt.t = t;
       opt.warps = 2 * t * shape.order + 6;
       if (opt.warps * sim::kWarpSize > 1024) continue;  // CUDA block limit
       if (sim::kWarpSize - t * 2 * shape.order < 16) continue;
       try {
-        auto tt = core::stencil3d_ssam_temporal<T>(arch, in3.cview(), shape, out3.view(),
-                                                   opt, sim::ExecMode::kTiming, sample);
+        auto tt = core::stencil3d_ssam<T>(arch, in3.cview(), shape, out3.view(), opt,
+                                          sim::ExecMode::kTiming, sample);
         best = std::max(best, bench::measure(arch, tt, cells, t).gcells);
       } catch (const ResourceError&) {
         // configuration exceeds this GPU's shared memory — skip, like a

@@ -69,9 +69,7 @@ double predict_units(const SimJob& job, const Schedule& s, int workers,
   }
   tiles = std::max(1, std::min<int>(tiles, static_cast<int>(band_units)));
 
-  const detail::TapFootprint f =
-      detail::footprint_of(job.shape, job.kind == JobKind::kStencil3D);
-  const double halo_units_per_tile = 2.0 * f.rows * std::max(1, job.hints.t);
+  const double halo_units_per_tile = 2.0 * detail::halo_rows(job);
 
   double memory = 0.0;
   double overhead = 0.0;

@@ -139,9 +139,11 @@ void validate_chain_stage(const ChainStage<T>& st) {
   }
 }
 
-/// Dual-stencil body: one register cache load, two partial sums riding the
+/// Dual-stencil body: one register cache load, two partial sums over the
 /// same column/shuffle schedule (the padded plans guarantee equal extents),
-/// joined element-wise per lane. Mirrors make_stencil2d_body.
+/// joined element-wise per lane. Mirrors make_stencil2d_body at t = 1. It
+/// runs in functional mode only, where sweeping the two sums one after the
+/// other gives the same values as interleaving them.
 template <typename T>
 [[nodiscard]] auto make_stencil2d_dual_body(const Stencil2dSetup& s,
                                             GridView2D<const T> in, ColumnPass<T> pa,
@@ -168,20 +170,8 @@ template <typename T>
 
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
       for (int i = 0; i < geom.p; ++i) {
-        Reg<T> sa = wc.uniform(T{});
-        Reg<T> sb = wc.uniform(T{});
-        for (std::size_t ci = 0; ci < pa.columns.size(); ++ci) {
-          if (ci > 0) {
-            sa = wc.shfl_up(sim::kFullMask, sa, 1);
-            sb = wc.shfl_up(sim::kFullMask, sb, 1);
-          }
-          for (const ColumnTap<T>& tap : pa.columns[ci]) {
-            sa = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sa);
-          }
-          for (const ColumnTap<T>& tap : pb.columns[ci]) {
-            sb = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sb);
-          }
-        }
+        const Reg<T> sa = column_sweep(wc, pa, rc.data(), i - dy_min);
+        const Reg<T> sb = column_sweep(wc, pb, rc.data(), i - dy_min);
         // The join is element-wise host code (functional mode never reads
         // Reg::ready); invalid halo lanes are joined too but never stored.
         Reg<T> r = sa;

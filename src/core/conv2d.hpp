@@ -45,7 +45,6 @@ struct Conv2dSetup {
   int cx = 0;
   int cy = 0;
   Index width = 0;
-  Index height = 0;
 };
 
 template <typename T>
@@ -65,13 +64,12 @@ template <typename T>
   s.cx = (filter_m - 1) / 2;
   s.cy = (filter_n - 1) / 2;
   s.width = in.width();
-  s.height = in.height();
   s.geom.span = s.m - 1;
   s.geom.dx_min = -s.cx;
   s.geom.rows_halo = s.n - 1;
   s.geom.p = opt.p;
   s.geom.block_threads = opt.block_threads;
-  s.cfg.grid = s.geom.grid(s.width, s.height);
+  s.cfg.grid = s.geom.grid(s.width, in.height());
   s.cfg.block_threads = opt.block_threads;
   s.cfg.regs_per_thread = conv2d_ssam_regs(s.n, opt.p);
   return s;
@@ -88,7 +86,6 @@ template <typename T>
   const int cx = s.cx;
   const int cy = s.cy;
   const Index width = s.width;
-  const Index height = s.height;
   return [=](auto& blk) {
     // Step 1 (Listing 1 lines 9-12): weights to shared memory.
     Smem<T> smem = blk.template alloc_smem<T>(m * n);

@@ -13,7 +13,6 @@
 #include <span>
 
 #include "core/stencil3d.hpp"
-#include "core/stencil3d_temporal.hpp"
 
 namespace ssam::core {
 

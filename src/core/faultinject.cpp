@@ -87,7 +87,9 @@ std::string FaultPlan::describe() const {
     if (site.rate <= 0.0) continue;
     s += ",";
     s += kKeys[i];
-    s += "=" + std::to_string(site.rate) + (site.transient ? "t" : "p");
+    s += "=";
+    s += std::to_string(site.rate);
+    s += site.transient ? "t" : "p";
   }
   return s;
 }

@@ -24,7 +24,7 @@
 // to the relaunch path in functional mode, which the persistent-path tests
 // pin with golden hashes. Temporal blocking composes: with t > 1 every
 // exchange carries t*r halo units and each sweep advances t fused steps in
-// registers, exactly like the temporal kernels the per-step path launches.
+// registers, exactly like the kernel launches of the per-step path.
 //
 // One engine serves every band workload. A `BandProgram` names the unit
 // axis, the halo depths, the global arrays, the sweep count, and a `make`
@@ -59,8 +59,7 @@
 #include "core/faultinject.hpp"
 #include "core/iterate.hpp"
 #include "core/shard.hpp"
-#include "core/stencil2d_temporal.hpp"
-#include "core/stencil3d_temporal.hpp"
+#include "core/stencil3d.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/persistent.hpp"
 
@@ -703,16 +702,11 @@ template <typename T>
                                         int block_threads, Index w, const SweepPlace<T>& pl) {
   const GridView2D<const T> in(pl.in, w, pl.in_units, w);
   const GridView2D<T> out(pl.out, w, pl.origin + pl.store_off + pl.band, w);
-  Stencil2dSetup s = t == 1 ? stencil2d_setup(in, plan, StencilOptions{p, block_threads})
-                            : stencil2d_temporal_setup(in, plan,
-                                                       TemporalSsamOptions{t, p, block_threads});
+  Stencil2dSetup s = stencil2d_setup(in, plan, StencilOptions{p, block_threads, t});
   s.row_origin = pl.origin;
   s.store_row_offset = pl.store_off;
   s.cfg.grid.y = static_cast<int>(ceil_div(pl.band, static_cast<Index>(p)));
-  if (t == 1) return {s.cfg, make_stencil2d_body<T>(s, in, plan.passes.front(), out), {}};
-  return {s.cfg,
-          make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), t, plan.rows_halo(), out),
-          {}};
+  return {s.cfg, make_stencil2d_body<T>(s, in, plan.passes.front(), out), {}};
 }
 
 }  // namespace detail
@@ -812,24 +806,15 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
   prog.make = [&](int, const detail::SweepPlace<T>& pl) {
     const GridView3D<const T> in(pl.in, nx, ny, pl.in_units);
     const GridView3D<T> out(pl.out, nx, ny, pl.out_units);
+    detail::Stencil3dSetup<T> s =
+        detail::stencil3d_setup(in, plan, Stencil3DOptions{opt.p, opt.warps3d, opt.t});
+    s.z_lo = pl.origin;
+    s.z_hi = pl.origin + pl.band;
+    s.z_store_offset = pl.store_off;
+    s.cfg.grid.z = static_cast<int>(ceil_div(pl.band, static_cast<Index>(s.vp)));
     detail::BandSweep sw;
-    if (opt.t == 1) {
-      detail::Stencil3dSetup<T> s =
-          detail::stencil3d_setup(in, plan, Stencil3DOptions{opt.p, opt.warps3d});
-      s.z_origin = pl.origin;
-      s.z_store_lo = pl.origin;
-      s.z_store_hi = pl.origin + pl.band;
-      s.z_store_offset = pl.store_off;
-      s.cfg.grid.z = static_cast<int>(ceil_div(pl.band, static_cast<Index>(s.vp)));
-      sw.cfg = s.cfg;
-      sw.body = detail::make_stencil3d_body<T>(std::move(s), in, out);
-    } else {
-      detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(
-          in, plan, Temporal3DOptions{opt.t, opt.p, opt.warps3d}, {pl.origin, pl.band});
-      s.z_store_offset = pl.store_off;
-      sw.cfg = s.cfg;
-      sw.body = detail::make_stencil3d_temporal_body<T>(std::move(s), in, out);
-    }
+    sw.cfg = s.cfg;
+    sw.body = detail::make_stencil3d_body<T>(std::move(s), in, out);
     if constexpr (kHasPost) {
       sw.epilogue = [post, nx, ny, band = pl.band, next = pl.out_band(nx * ny),
                      cur = pl.in_band(nx * ny), ab = pl.aux] {

@@ -210,6 +210,25 @@ struct TapFootprint {
   return f;
 }
 
+/// Band-axis rows that price one sweep's halo exchange: the footprint rows
+/// times the fused steps. A chain's band layout is sized to its deepest
+/// stage (core/chain.hpp), so a chain takes the largest stage rows times
+/// that stage's `t` (a dual stage counts the deeper of its two tap sets);
+/// `hints.t` does not apply to chains.
+[[nodiscard]] inline int halo_rows(const SimJob& job) {
+  if (job.kind != JobKind::kChain) {
+    return footprint_of(job.shape, job.kind == JobKind::kStencil3D).rows *
+           std::max(1, job.hints.t);
+  }
+  int rows = 1;
+  for (const auto& st : job.stages) {
+    int r = footprint_of(st.shape, false).rows;
+    if (st.dual()) r = std::max(r, footprint_of(st.shape_b, false).rows);
+    rows = std::max(rows, r * std::max(1, st.t));
+  }
+  return rows;
+}
+
 }  // namespace detail
 
 /// Latency-model work units of the whole job: the per-element SSAM latency

@@ -29,7 +29,6 @@ namespace detail {
 /// iterated stencils stay bounded and symmetric indexing bugs are caught.
 template <typename T>
 void assign_coeffs(std::vector<ref::Tap<T>>& taps) {
-  const double n = static_cast<double>(taps.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < taps.size(); ++i) {
     const double v = 1.0 + 0.01 * static_cast<double>(i + 1);

@@ -37,6 +37,8 @@ class RegisterCache {
   [[nodiscard]] int capacity() const { return rows_.size(); }
   [[nodiscard]] Reg<T>& row(int i) { return rows_[i]; }
   [[nodiscard]] const Reg<T>& row(int i) const { return rows_[i]; }
+  /// The cached rows, contiguous: row i is data()[i].
+  [[nodiscard]] const Reg<T>* data() const { return rows_.begin(); }
 
   /// Loads `capacity()` consecutive rows starting at `row0`; lane l reads
   /// column `col0 + l`. Out-of-domain coordinates are border-resolved by

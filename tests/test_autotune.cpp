@@ -73,6 +73,28 @@ TEST(AutotuneModel, PinnedPicksAreGolden) {
   EXPECT_EQ(t2.stats().measurements, 0u);
 }
 
+TEST(AutotuneModel, ChainHaloPricedByDeepestStage) {
+  // A chain's band layout is sized to its deepest stage, so its halo is
+  // priced by the largest stage rows times that stage's t, not by the first
+  // stage's shape (which SimJob::chain2d copies into job.shape).
+  Grid2D<float> a(64, 64), b(64, 64);
+  using Stage = core::ChainStage<float>;
+  const core::SimJob shallow_first = core::SimJob::chain2d(
+      a, b, {Stage::stencil(core::star2d<float>(1)), Stage::stencil(core::star2d<float>(3)),
+             Stage::stencil(core::star2d<float>(2))});
+  EXPECT_EQ(core::detail::halo_rows(shallow_first), 7);  // star2d(3): 7 rows
+
+  const core::SimJob fused = core::SimJob::chain2d(
+      a, b, {Stage::stencil(core::star2d<float>(2)), Stage::stencil(core::star2d<float>(1), 3)});
+  EXPECT_EQ(core::detail::halo_rows(fused), 9);  // star2d(1) at t = 3: 3 rows x 3
+
+  // A stencil job keeps its own rows times hints.t.
+  core::JobHints h;
+  h.t = 2;
+  EXPECT_EQ(core::detail::halo_rows(core::SimJob::stencil2d(a, b, core::star2d<float>(1), 4, h)),
+            6);
+}
+
 TEST(AutotuneModel, ResolveCreatesNoFile) {
   const std::filesystem::path home =
       std::filesystem::temp_directory_path() / "ssam_autotune_no_file";

@@ -82,8 +82,11 @@ INSTANTIATE_TEST_SUITE_P(Filters, BaselineConvSweep,
                                            Case{16, 16}, Case{20, 20}, Case{3, 7},
                                            Case{7, 3}),
                          [](const auto& info) {
-                           return "M" + std::to_string(info.param.m) + "N" +
-                                  std::to_string(info.param.n);
+                           std::string name = "M";
+                           name += std::to_string(info.param.m);
+                           name += "N";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 TEST(ConvFft, MatchesZeroBorderReference) {

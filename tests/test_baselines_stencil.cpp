@@ -7,7 +7,7 @@
 #include "baselines/stencil_tiled.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/stencil2d_temporal.hpp"
+#include "core/stencil2d.hpp"
 #include "core/stencil_suite.hpp"
 #include "gpusim/arch.hpp"
 #include "reference/stencil.hpp"
@@ -176,10 +176,9 @@ TEST(TemporalSsam2D, InteriorMatchesIteratedReference) {
         ref::stencil2d<float>(a.cview(), shape.taps, b.view());
         std::swap(a, b);
       }
-      core::TemporalSsamOptions opt;
+      core::StencilOptions opt;
       opt.t = t;
-      core::stencil2d_ssam_temporal<float>(sim::tesla_v100(), in.cview(), shape, got.view(),
-                                           opt);
+      core::stencil2d_ssam<float>(sim::tesla_v100(), in.cview(), shape, got.view(), opt);
       expect_interior_match_2d<float>(got, a, t * shape.order,
                                       verify_tolerance<float>(shape.taps.size() * t),
                                       std::string(name) + " t=" + std::to_string(t));

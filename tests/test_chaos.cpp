@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -86,8 +87,10 @@ struct ChaosCase {
         return core::SimJob::stencil3d(a3, b3, shape, steps);
       case core::JobKind::kConv2D:
         return core::SimJob::conv2d(a2, b2, filter, 3, 3);
+      case core::JobKind::kChain:
+        break;
     }
-    return {};
+    throw std::logic_error("the chaos rig builds no chain jobs");
   }
 
   [[nodiscard]] bool matches_golden() const {

@@ -66,8 +66,11 @@ INSTANTIATE_TEST_SUITE_P(AllFilterSizes, ConvSweep,
                                            ConvCase{2, 5}, ConvCase{5, 2}, ConvCase{1, 7},
                                            ConvCase{7, 1}, ConvCase{1, 1}),
                          [](const auto& info) {
-                           return "M" + std::to_string(info.param.m) + "N" +
-                                  std::to_string(info.param.n);
+                           std::string name = "M";
+                           name += std::to_string(info.param.m);
+                           name += "N";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 TEST(Conv2DSsam, TimingModeProducesStats) {

@@ -8,7 +8,7 @@
 #include "core/conv1d.hpp"
 #include "core/conv3d.hpp"
 #include "core/gemm.hpp"
-#include "core/stencil3d_temporal.hpp"
+#include "core/stencil3d.hpp"
 #include "core/stencil_suite.hpp"
 #include "gpusim/arch.hpp"
 #include "reference/conv.hpp"
@@ -124,10 +124,10 @@ void check_temporal3d(const char* name, int t, int warps) {
     ref::stencil3d<T>(a.cview(), shape.taps, b.view());
     std::swap(a, b);
   }
-  core::Temporal3DOptions opt;
+  core::Stencil3DOptions opt;
   opt.t = t;
   opt.warps = warps;
-  core::stencil3d_ssam_temporal<T>(sim::tesla_v100(), in.cview(), shape, got.view(), opt);
+  core::stencil3d_ssam<T>(sim::tesla_v100(), in.cview(), shape, got.view(), opt);
   const int mrg = t * shape.order;
   double err = 0, scale = 0;
   for (Index z = mrg; z < a.nz() - mrg; ++z) {
@@ -149,18 +149,5 @@ TEST(Temporal3DSsam, PoissonTwoSteps) { check_temporal3d<float>("poisson", 2, 8)
 TEST(Temporal3DSsam, Box27ptTwoSteps) { check_temporal3d<float>("3d27pt", 2, 8); }
 TEST(Temporal3DSsam, Star13ptTwoSteps) { check_temporal3d<float>("3d13pt", 2, 12); }
 TEST(Temporal3DSsam, DoublePrecision) { check_temporal3d<double>("3d7pt", 2, 8); }
-
-TEST(Temporal3DSsam, OneStepEqualsPlainKernel) {
-  const auto shape = core::suite_stencil<float>("3d7pt");
-  Grid3D<float> in(48, 16, 20), a(48, 16, 20), b(48, 16, 20);
-  fill_random(in, 41);
-  core::Temporal3DOptions opt;
-  opt.t = 1;
-  core::stencil3d_ssam_temporal<float>(sim::tesla_v100(), in.cview(), shape, a.view(), opt);
-  core::stencil3d_ssam<float>(sim::tesla_v100(), in.cview(), shape, b.view());
-  EXPECT_LE(normalized_max_diff<float>({a.data(), static_cast<std::size_t>(a.size())},
-                                       {b.data(), static_cast<std::size_t>(b.size())}),
-            verify_tolerance<float>(shape.taps.size()));
-}
 
 }  // namespace

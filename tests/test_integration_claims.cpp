@@ -11,7 +11,7 @@
 #include "common/stats.hpp"
 #include "core/conv2d.hpp"
 #include "core/iterate.hpp"
-#include "core/stencil2d_temporal.hpp"
+#include "core/stencil2d.hpp"
 #include "core/stencil_suite.hpp"
 #include "gpusim/timing.hpp"
 #include "reference/stencil.hpp"
@@ -87,11 +87,11 @@ TEST(HeadlineClaims, TemporalBlockingPaysForLowOrder2D) {
   const double plain = time_ms(
       arch, core::stencil2d_ssam<float>(arch, in.cview(), shape, out.view(), {},
                                         sim::ExecMode::kTiming, {32, 4}));
-  core::TemporalSsamOptions opt;
+  core::StencilOptions opt;
   opt.t = 4;
-  const double fused = time_ms(arch, core::stencil2d_ssam_temporal<float>(
-                                         arch, in.cview(), shape, out.view(), opt,
-                                         sim::ExecMode::kTiming, {32, 4}));
+  const double fused =
+      time_ms(arch, core::stencil2d_ssam<float>(arch, in.cview(), shape, out.view(), opt,
+                                                sim::ExecMode::kTiming, {32, 4}));
   // Per-step cost: fused covers 4 steps.
   EXPECT_LT(fused / 4.0, plain);
 }

@@ -4,6 +4,7 @@
 
 #include "core/conv2d.hpp"
 #include "core/dgraph.hpp"
+#include "core/stencil3d.hpp"
 #include "core/stencil_suite.hpp"
 #include "gpusim/arch.hpp"
 #include "perfmodel/latency_model.hpp"
@@ -147,6 +148,30 @@ TEST(RegistersPerThread, SsamConvEstimateTracksWindowAndFilter) {
   EXPECT_GT(core::conv2d_ssam_regs(9, 8), core::conv2d_ssam_regs(9, 4));
   EXPECT_GT(core::conv2d_ssam_regs(20, 4), core::conv2d_ssam_regs(3, 4));
   EXPECT_EQ(core::conv2d_ssam_regs(5, 4), (4 + 5 - 1) + 4 + 12);
+}
+
+TEST(RegistersPerThread, SsamStencilEstimateKeepsOneLevelAtT1) {
+  // One stencil kernel serves every t, but the estimate stays two model
+  // inputs: a single step keeps P accumulators live, fused steps two full
+  // levels of C0 = P + t * rows_halo rows. Reusing the fused formula at t = 1
+  // would lower the occupancy and move estimate_runtime of every stencil.
+  Grid2D<float> in2(256, 256);
+  const auto plan2 = core::build_plan(core::star2d<float>(5).taps);  // rows_halo 10
+  core::StencilOptions o2;                                            // p = 4
+  EXPECT_EQ(core::detail::stencil2d_setup(in2.cview(), plan2, o2).cfg.regs_per_thread,
+            (4 + 10) + 4 + 10);
+  o2.t = 2;
+  EXPECT_EQ(core::detail::stencil2d_setup(in2.cview(), plan2, o2).cfg.regs_per_thread,
+            2 * (4 + 2 * 10) + 12);
+
+  Grid3D<float> in3(64, 64, 32);
+  const auto plan3 = core::build_plan(core::star3d<float>(1).taps);  // rows_halo 2, 3 passes
+  core::Stencil3DOptions o3;                                          // p = 2
+  EXPECT_EQ(core::detail::stencil3d_setup(in3.cview(), plan3, o3).cfg.regs_per_thread,
+            (2 + 2) + 2 * 3 + 12);
+  o3.t = 2;
+  EXPECT_EQ(core::detail::stencil3d_setup(in3.cview(), plan3, o3).cfg.regs_per_thread,
+            2 * (2 + 2 * 2) + 2 * 3 + 12);
 }
 
 TEST(SparseLatency, DenseDegeneratesToEquation4) {

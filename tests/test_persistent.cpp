@@ -27,9 +27,7 @@
 #include "common/thread_pool.hpp"
 #include "core/iterate.hpp"
 #include "core/iterate_persistent.hpp"
-#include "core/stencil2d_temporal.hpp"
 #include "core/stencil3d.hpp"
-#include "core/stencil3d_temporal.hpp"
 #include "gpusim/arch.hpp"
 #include "gpusim/persistent.hpp"
 #include "test_util.hpp"
@@ -76,12 +74,11 @@ TEST(HaloChannelTest, EpochRingHandshake) {
 std::vector<float> relaunch_temporal2d(const Grid2D<float>& src, int t, int sweeps) {
   const core::StencilShape<float> shape = core::star2d<float>(1);
   const core::SystolicPlan<float> plan = core::build_plan(shape.taps);
-  core::TemporalSsamOptions opt;
+  core::StencilOptions opt;
   opt.t = t;
   Grid2D<float> a = src, b(src.width(), src.height());
   for (int s = 0; s < sweeps; ++s) {
-    (void)core::stencil2d_ssam_temporal<float>(sim::tesla_v100(), a.cview(), plan,
-                                               b.view(), opt);
+    (void)core::stencil2d_ssam<float>(sim::tesla_v100(), a.cview(), plan, b.view(), opt);
     std::swap(a, b);
   }
   return {a.data(), a.data() + a.size()};
@@ -134,12 +131,11 @@ TEST(PersistentGolden, TemporalStencil3dHashMatchesRelaunch) {
   Grid3D<float> src(49, 41, 53);
   fill_random(src, 31);
 
-  core::Temporal3DOptions topt;
+  core::Stencil3DOptions topt;
   topt.t = 2;
   Grid3D<float> ra = src, rb(src.nx(), src.ny(), src.nz());
   for (int s = 0; s < 3; ++s) {
-    (void)core::stencil3d_ssam_temporal<float>(sim::tesla_v100(), ra.cview(), plan,
-                                               rb.view(), topt);
+    (void)core::stencil3d_ssam<float>(sim::tesla_v100(), ra.cview(), plan, rb.view(), topt);
     std::swap(ra, rb);
   }
 

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +65,8 @@ struct Case {
       case core::JobKind::kConv2D:
         j = core::SimJob::conv2d(a2, b2, filter, 3, 3, hints);
         break;
+      case core::JobKind::kChain:
+        throw std::logic_error("the server rig builds no chain jobs");
     }
     j.tenant = tenant;
     return j;
@@ -78,8 +81,10 @@ struct Case {
         return fnv1a(a3.data(), static_cast<std::size_t>(a3.size()) * sizeof(float));
       case core::JobKind::kConv2D:
         return fnv1a(b2.data(), static_cast<std::size_t>(b2.size()) * sizeof(float));
+      case core::JobKind::kChain:
+        break;
     }
-    return 0;
+    throw std::logic_error("the server rig builds no chain jobs");
   }
 };
 

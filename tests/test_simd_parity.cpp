@@ -34,7 +34,6 @@
 #include "core/job.hpp"
 #include "core/scan.hpp"
 #include "core/stencil2d.hpp"
-#include "core/stencil2d_temporal.hpp"
 #include "core/stencil3d.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
@@ -634,10 +633,9 @@ std::uint64_t golden_stencil2d_temporal() {
   Grid2D<float> in(160, 120);
   fill_random(in, 10);
   Grid2D<float> out(160, 120);
-  core::TemporalSsamOptions opt;
+  core::StencilOptions opt;
   opt.t = 3;
-  core::stencil2d_ssam_temporal<float>(arch, in.cview(), core::star2d<float>(1), out.view(),
-                                       opt);
+  core::stencil2d_ssam<float>(arch, in.cview(), core::star2d<float>(1), out.view(), opt);
   return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
 }
 

@@ -19,7 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "core/conv2d.hpp"
 #include "core/scan.hpp"
-#include "core/stencil2d_temporal.hpp"
+#include "core/stencil2d.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
 #include "test_util.hpp"
@@ -135,10 +135,10 @@ TEST(PoolDeterminism, TemporalStencilBitIdenticalAcrossPoolSizes) {
   expect_pool_size_invariant(
       [&] {
         Grid2D<float> out(in.width(), in.height());
-        core::TemporalSsamOptions opt;
+        core::StencilOptions opt;
         opt.t = 3;
-        (void)core::stencil2d_ssam_temporal<float>(sim::tesla_v100(), in.cview(), shape,
-                                                   out.view(), opt);
+        (void)core::stencil2d_ssam<float>(sim::tesla_v100(), in.cview(), shape, out.view(),
+                                          opt);
         return std::vector<float>(out.data(), out.data() + out.size());
       },
       "temporal stencil");
