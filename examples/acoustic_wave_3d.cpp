@@ -10,12 +10,13 @@
 // All time steps run on the persistent iteration engine
 // (core/iterate_persistent.hpp), sharded across a virtual two-device group
 // (core/shard.hpp): each device's pool slice owns a z-band shard, every
-// plane band stays resident on its worker across every step, p_prev rides
-// along as a resident aux field, and the element-wise wave update runs as
-// the engine's post hook on each band right after its Laplacian sweep —
+// plane band stays resident on its worker across every step, and the
+// element-wise wave update runs as the engine's post hook on each band
+// right after its Laplacian sweep, advancing p_prev (the aux field) in
+// place over the band's planes —
 // the halo channels (the inter-device seam included) then carry the
-// *updated* pressure, so no step ever round-trips through the global
-// arrays.
+// *updated* pressure, so no step round-trips the pressure through the
+// global arrays. Exits 1 when the run goes unstable.
 #include <cmath>
 #include <iostream>
 
@@ -45,7 +46,7 @@ int main() {
   p.at(n / 2, n / 2, n / 2) = 1.0f;
   p_prev.at(n / 2, n / 2, n / 2) = 0.9f;
 
-  // Element-wise wave update over each resident band: the sweep left
+  // Element-wise wave update over each band: the sweep left
   // c^2-unscaled Laplacian values in `next`; combine with the current and
   // previous pressure and advance the aux field.
   auto wave_update = [c2](GridView3D<float> next, GridView3D<const float> cur,
@@ -67,7 +68,7 @@ int main() {
       sim::tesla_v100(), p, scratch, laplace, steps, opt, wave_update, &p_prev);
   std::cout << "persistent run: " << run.tiles << " resident tiles on " << run.devices
             << " virtual devices, " << run.sweeps
-            << " steps (p_prev resident as aux field)\n";
+            << " steps (p_prev updated in place as the aux field)\n";
 
   // Wavefront radius after `steps` steps ~ steps * sqrt(c2) cells.
   double energy = 0;
@@ -80,8 +81,8 @@ int main() {
   }
   std::cout << "after " << steps << " steps: wavefront radius ~ " << front
             << " cells (expected <= " << steps << "), energy = " << energy << "\n";
-  std::cout << (std::isfinite(energy) && energy < 1e6 ? "stable (CFL respected)\n"
-                                                      : "UNSTABLE!\n");
+  const bool stable = std::isfinite(energy) && energy < 1e6;
+  std::cout << (stable ? "stable (CFL respected)\n" : "UNSTABLE!\n");
 
   // Per-step Laplacian cost on the simulated GPUs at the paper's 512^3 size.
   const auto plan = core::build_plan(laplace.taps);
@@ -93,5 +94,5 @@ int main() {
     std::cout << arch->name << " (512^3): " << est.total_ms << " ms/step, "
               << 512.0 * 512 * 512 / est.total_ms / 1e6 << " GCells/s\n";
   }
-  return 0;
+  return stable ? 0 : 1;
 }

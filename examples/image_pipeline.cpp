@@ -3,10 +3,11 @@
 // persistent run — blur output feeds the forked Sobel pair in-resident, the
 // gradients join element-wise into the magnitude, and only the final edge
 // map is written to global memory. The staged reference (one launch per
-// stage, intermediates round-tripped through a workspace scratch block)
-// runs on the SAME warm workspace, so the fused-vs-staged comparison is an
-// honest like-for-like: same kernels, same allocations, different data
-// movement. PGM files are written for any image viewer.
+// stage, intermediates round-tripped through two relay arrays carved from
+// the workspace arena) runs on the SAME warm workspace, so the
+// fused-vs-staged comparison is an honest like-for-like: same kernels, same
+// allocations, different data movement. PGM files are written for any
+// image viewer.
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -113,9 +114,10 @@ int main() {
   std::cout << "chain DAG (4 kernels + join) compiled to " << stages.size()
             << " fused stages\n";
 
-  // One warm workspace serves both paths: the staged reference ping-pongs
-  // its intermediates through the scratch block, the fused run carves its
-  // residence buffers from the arena — neither invalidates the other.
+  // One warm workspace serves both paths, one run at a time: the staged
+  // reference carves its two relay arrays from the arena, the fused run its
+  // residence buffers — each run carves afresh, so neither needs the
+  // other's carving to survive.
   sim::PersistentWorkspace ws;
   Grid2D<float> edges_staged(n, n), edges_fused(n, n);
   core::PersistentOptions staged_opt;
@@ -131,8 +133,8 @@ int main() {
     (void)core::run_chain2d<float>(sim::tesla_v100(), img, edges_fused, stages,
                                    fused_opt, &ws);
   };
-  staged();  // cold: allocates the scratch block
-  fused();   // cold: allocates the arena
+  staged();  // cold: allocates the arena
+  fused();   // cold: grows it to the residence buffers if they need more
   const double staged_ms = run_ms(staged);
   const double fused_ms = run_ms(fused);
   std::cout << "staged (one launch per stage): " << staged_ms << " ms, fused (one "

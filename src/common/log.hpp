@@ -16,8 +16,6 @@ void set_log_level(LogLevel level);
 
 void log(LogLevel level, const std::string& message);
 
-inline void log_info(const std::string& m) { log(LogLevel::kInfo, m); }
-inline void log_warn(const std::string& m) { log(LogLevel::kWarn, m); }
 inline void log_debug(const std::string& m) { log(LogLevel::kDebug, m); }
 
 /// Token bucket for event streams that may storm (watchdog cancels,

@@ -20,21 +20,6 @@ template <typename T>
   return m;
 }
 
-/// Maximum relative difference with an absolute floor (for values near zero).
-template <typename T>
-[[nodiscard]] double max_rel_diff(std::span<const T> a, std::span<const T> b,
-                                  double abs_floor = 1e-6) {
-  SSAM_REQUIRE(a.size() == b.size(), "span sizes differ");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double x = static_cast<double>(a[i]);
-    const double y = static_cast<double>(b[i]);
-    const double denom = std::max({std::abs(x), std::abs(y), abs_floor});
-    m = std::max(m, std::abs(x - y) / denom);
-  }
-  return m;
-}
-
 /// Max absolute difference normalized by the largest reference magnitude —
 /// robust near zero-crossings where pointwise relative error is meaningless.
 template <typename T>
@@ -71,7 +56,6 @@ struct RunningStats {
     m2 += d * (x - mean);
   }
   [[nodiscard]] double variance() const { return n > 1 ? m2 / static_cast<double>(n - 1) : 0.0; }
-  [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
 };
 
 }  // namespace ssam

@@ -4,8 +4,9 @@
 //
 // A chain is an ordered list of stage kernels S0..S(k-1): out = Sk-1(...
 // S1(S0(in))). The staged reference runs one full-grid launch per stage and
-// round-trips every intermediate through a global-sized array — exactly the
-// traffic the systolic model exists to eliminate. `run_chain2d` instead
+// round-trips every intermediate through a global-sized relay array carved
+// from the run's workspace arena — exactly the traffic the systolic model
+// exists to eliminate. `run_chain2d` instead
 // builds one band program (core/iterate_persistent.hpp) whose sweep s runs
 // stage s, so the engine compiles the chain into one persistent run: the
 // domain is decomposed into resident band tiles (core/shard.hpp) and stage
@@ -227,9 +228,9 @@ template <typename T>
 /// never written). Policy kAuto/kPersistent compiles a depth >= 2 chain
 /// into one persistent run (stats.persistent = true); kRelaunch — and any
 /// depth-1 chain, where there is no inter-stage flow to fuse — runs the
-/// staged per-stage reference, ping-ponging intermediates through the
-/// workspace's scratch block (one warm allocation for the whole chain, not
-/// one per stage). `opt.t` is ignored: temporal depth is per-stage
+/// staged per-stage reference, ping-ponging intermediates through two relay
+/// arrays carved from the workspace arena (one warm allocation for the
+/// whole chain, not one per stage). `opt.t` is ignored: temporal depth is per-stage
 /// (ChainStage::t). Fused and staged paths are bit-identical; sharding
 /// applies to the fused path (a staged run executes on `opt.device`'s pool
 /// or the global pool).

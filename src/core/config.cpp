@@ -51,7 +51,6 @@ SimConfig config_from_env() {
   c.threads = env_positive_int("SSAM_THREADS", hw == 0 ? 1 : static_cast<int>(hw));
   c.devices = env_positive_int("SSAM_DEVICES", 2);
   c.device_pin = env_flag("SSAM_DEVICE_PIN");
-  c.policy = IterationPolicy::kAuto;
   c.simd_backend = sim::simd::kBackendName;
   if (const char* v = std::getenv("SSAM_FAULT_SPEC")) c.fault_spec = v;
   return c;
@@ -63,14 +62,9 @@ const SimConfig& config() {
 }
 
 std::string SimConfig::describe() const {
-  const char* pol = policy == IterationPolicy::kAuto        ? "auto"
-                    : policy == IterationPolicy::kRelaunch  ? "relaunch"
-                                                            : "persistent";
   std::string s = "threads=" + std::to_string(threads);
   s += " devices=" + std::to_string(devices);
   s += device_pin ? " pin=on" : " pin=off";
-  s += " policy=";
-  s += pol;
   s += " simd=";
   s += simd_backend;
   s += " faults=";

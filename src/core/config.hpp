@@ -32,7 +32,6 @@ struct SimConfig {
   int threads = 1;        ///< host worker count (SSAM_THREADS, else hardware)
   int devices = 2;        ///< default virtual-device count (SSAM_DEVICES)
   bool device_pin = false;  ///< pin device workers to cores (SSAM_DEVICE_PIN)
-  IterationPolicy policy = IterationPolicy::kAuto;  ///< default iteration policy
   const char* simd_backend = "";  ///< compiled SIMD lane backend (report only)
   /// Fault-injection plan spec (SSAM_FAULT_SPEC, empty: no injection).
   /// Parsed and armed by core::FaultInjector::global() at first use — the
@@ -41,7 +40,7 @@ struct SimConfig {
   std::string fault_spec;
 
   /// One line naming every resolved knob, e.g.
-  /// "threads=4 devices=2 pin=off policy=auto simd=avx2 faults=off".
+  /// "threads=4 devices=2 pin=off simd=avx2 faults=off".
   [[nodiscard]] std::string describe() const;
 };
 

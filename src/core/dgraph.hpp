@@ -43,11 +43,6 @@ struct ColumnPass {
 
   /// Shuffles needed by this pass (the Section 5.4 cost metric).
   [[nodiscard]] int shifts() const { return dx_max - dx_min; }
-  [[nodiscard]] int tap_count() const {
-    int n = 0;
-    for (const auto& c : columns) n += static_cast<int>(c.size());
-    return n;
-  }
 };
 
 /// The complete shift schedule for a stencil/convolution: one pass per
@@ -71,13 +66,6 @@ struct SystolicPlan {
     int s = 0;
     for (const auto& p : passes) s += p.shifts();
     return s;
-  }
-
-  [[nodiscard]] const ColumnPass<T>* pass_for_dz(int dz) const {
-    for (const auto& p : passes) {
-      if (p.dz == dz) return &p;
-    }
-    return nullptr;
   }
 
   [[nodiscard]] int rz() const {

@@ -38,10 +38,12 @@
 // results.
 //
 // An optional element-wise post hook runs over the band after each sweep
-// (before the boundary is published), with an optional second resident
-// field — enough for two-field updates like the acoustic wave equation
-// (examples/acoustic_wave_3d.cpp). The post path keeps the staged
-// load/drain (the hook must see every produced band in residence).
+// (before the boundary is published), with an optional second field that
+// each tile updates in place over its own band rows of the caller's grid —
+// enough for two-field updates like the acoustic wave equation
+// (examples/acoustic_wave_3d.cpp). Post hooks run on fused first and last
+// sweeps like any other epilogue: the hook sees the band wherever the sweep
+// read and wrote it.
 #pragma once
 
 #include <array>
@@ -65,9 +67,9 @@
 
 namespace ssam::core {
 
-// IterationPolicy (kAuto / kRelaunch / kPersistent) lives in
-// core/config.hpp so SimConfig can carry the default without pulling in
-// the engine; the name is unchanged (ssam::core::IterationPolicy).
+// IterationPolicy (kAuto / kRelaunch / kPersistent) lives in the
+// dependency-free core/config.hpp, so the job and tuner headers can name it
+// without pulling in the engine.
 
 struct PersistentOptions {
   IterationPolicy policy = IterationPolicy::kAuto;
@@ -113,7 +115,7 @@ struct NoPost {};
 /// cooperative scheduler polls `stop` and unwinds every participant, and
 /// the engine rethrows on the calling thread once run_persistent_on
 /// returns. The first recorded fault wins; an aborted run is torn at
-/// tile/sweep boundaries only (some tiles may already have drained), so the
+/// tile/sweep boundaries only (some tiles may already have finished), so the
 /// global arrays are in an unspecified-but-valid state — the server's retry
 /// path restores inputs from a snapshot before re-running.
 struct RunControl {
@@ -226,7 +228,8 @@ struct SweepPlace {
 template <typename T>
 struct BandProgram {
   /// Roles of a sweep in a tile: 0/1 read residence buffer 0/1 and write
-  /// the other; kFirst reads `src`, kLast stores to `dst`.
+  /// the other; kFirst reads `src`, kLast (always the last sweep) stores to
+  /// `dst`, so a run has no staged drain.
   static constexpr int kFirst = 2;
   static constexpr int kLast = 3;
 
@@ -239,28 +242,23 @@ struct BandProgram {
   Index min_band = 1;       ///< smallest band that can source a halo
   const T* src = nullptr;   ///< initial state (full array)
   T* dst = nullptr;         ///< final state target (full array; may alias src)
-  T* aux = nullptr;         ///< optional aux field kept resident (full array)
-  /// Relaunch ping/pong arrays; null: carved from the workspace scratch.
+  T* aux = nullptr;         ///< optional aux field, updated in place (full array)
+  /// Relaunch ping/pong arrays; null: carved from the workspace arena.
   std::array<T*, 2> relay{};
   int sweeps = 0;
-  int stages = 1;         ///< 1: every sweep runs stage 0; else sweep s runs stage s
-  int t = 1;              ///< fused steps per sweep (reported in the stats)
-  bool fuse_ends = true;  ///< false: staged load/drain (epilogues need residence)
+  int stages = 1;  ///< 1: every sweep runs stage 0; else sweep s runs stage s
+  int t = 1;       ///< fused steps per sweep (reported in the stats)
   std::function<BandSweep(int, const SweepPlace<T>&)> make;
 
   /// The first sweep reads `src` directly, skipping the staged load. When
   /// src aliases dst this needs >= 3 sweeps: channel backpressure then
   /// orders every tile's fused read of the array before any neighbour's
   /// fused final store to it.
-  [[nodiscard]] bool fused_first() const {
-    return fuse_ends && sweeps >= (src == dst ? 3 : 2);
-  }
-  /// The last sweep stores straight to `dst`, skipping the staged drain.
-  [[nodiscard]] bool fused_last() const { return fuse_ends && sweeps >= 1; }
+  [[nodiscard]] bool fused_first() const { return sweeps >= (src == dst ? 3 : 2); }
 
   [[nodiscard]] int role(int s) const {
     if (s == 0 && fused_first()) return kFirst;
-    if (s == sweeps - 1 && fused_last()) return kLast;
+    if (s == sweeps - 1) return kLast;
     return s % 2;
   }
   [[nodiscard]] int stage(int s) const { return stages == 1 ? 0 : s; }
@@ -300,7 +298,6 @@ class ResidentBandTile final : public sim::PersistentTask {
     Index u0 = 0;    ///< first band unit in the global arrays
     T* buf_a = nullptr;
     T* buf_b = nullptr;
-    T* aux_res = nullptr;
     sim::HaloChannel* in_lo = nullptr;   ///< from the tile above: ht units
     sim::HaloChannel* in_hi = nullptr;   ///< from the tile below: hb units
     sim::HaloChannel* out_lo = nullptr;  ///< to the tile above: my top hb units
@@ -329,9 +326,6 @@ class ResidentBandTile final : public sim::PersistentTask {
           // global array itself serves as epoch 0.)
           copy_units(w_.buf_a + p_.ht * ue_, p_.src + w_.u0 * ue_, w_.band);
           publish_boundaries(w_.buf_a, 0);
-        }
-        if (w_.aux_res != nullptr) {
-          copy_units(w_.aux_res, p_.aux + w_.u0 * ue_, w_.band);
         }
         state_ = State::kStep;
         return true;
@@ -368,17 +362,7 @@ class ResidentBandTile final : public sim::PersistentTask {
         if (will_publish) publish_boundaries(next_buf(), s_ + 1);
         flip_ ^= 1;
         ++s_;
-        if (s_ == p_.sweeps) state_ = State::kDrain;
-        return true;
-      }
-      case State::kDrain: {
-        if (!p_.fused_last()) {
-          copy_units(p_.dst + w_.u0 * ue_, cur_buf() + p_.ht * ue_, w_.band);
-        }
-        if (w_.aux_res != nullptr) {
-          copy_units(p_.aux + w_.u0 * ue_, w_.aux_res, w_.band);
-        }
-        state_ = State::kDone;
+        if (s_ == p_.sweeps) state_ = State::kDone;
         return true;
       }
       case State::kDone:
@@ -388,7 +372,7 @@ class ResidentBandTile final : public sim::PersistentTask {
   }
 
  private:
-  enum class State { kLoad, kStep, kDrain, kDone };
+  enum class State { kLoad, kStep, kDone };
 
   [[nodiscard]] T* cur_buf() const { return flip_ == 0 ? w_.buf_a : w_.buf_b; }
   [[nodiscard]] T* next_buf() const { return flip_ == 0 ? w_.buf_b : w_.buf_a; }
@@ -502,7 +486,6 @@ PersistentRunStats run_band_program(const sim::ArchSpec& arch, const BandProgram
   req.align = prog.align;
   req.min_band = prog.min_band;
   req.want_tiles = opt.tiles;
-  req.has_aux = prog.aux != nullptr;
   req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
   const BandLayout L = build_band_layout(req, opt.shard, ws);
   const int tiles = L.tiles();
@@ -535,7 +518,6 @@ PersistentRunStats run_band_program(const sim::ArchSpec& arch, const BandProgram
     wr.u0 = u0;
     wr.buf_a = reinterpret_cast<T*>(L.buf_a[ti]);
     wr.buf_b = reinterpret_cast<T*>(L.buf_b[ti]);
-    if (prog.aux != nullptr) wr.aux_res = reinterpret_cast<T*>(L.aux[ti]);
     if (i > 0) {
       wr.in_lo = &L.chans[2 * ti - 2];
       wr.out_lo = &L.chans[2 * ti - 1];
@@ -568,7 +550,7 @@ PersistentRunStats run_band_program(const sim::ArchSpec& arch, const BandProgram
       pl.origin = first ? u0 : prog.ht;
       pl.store_off = first ? prog.ht - u0 : (last ? u0 - prog.ht : 0);
       pl.band = band;
-      pl.aux = wr.aux_res;
+      pl.aux = prog.aux != nullptr ? prog.aux + u0 * prog.unit_elems : nullptr;
       return pl;
     };
     wr.table.resize(static_cast<std::size_t>(prog.table_size()));
@@ -611,7 +593,7 @@ void run_relaunch(const sim::ArchSpec& arch, const BandProgram<T>& prog,
   if (relay[0] == nullptr && n >= 2) {
     const std::size_t bytes = static_cast<std::size_t>(units * prog.unit_elems) * sizeof(T);
     const std::size_t stride = (bytes + 63) / 64 * 64;
-    std::byte* p = ws.scratch(stride + bytes);
+    std::byte* p = ws.arena(stride + bytes);
     relay = {reinterpret_cast<T*>(p), reinterpret_cast<T*>(p + stride)};
   }
   auto state = [&](int s) -> T* {  // the array holding the state after s sweeps
@@ -676,11 +658,10 @@ PersistentRunStats run_program(const sim::ArchSpec& arch, const BandProgram<T>& 
 }
 
 /// The program of `sweeps` in-place sweeps of one stage over `a` (final
-/// state in `a`; relaunch ping-pongs through `b`). A post hook keeps the
-/// staged load/drain, since it must see every produced band in residence.
+/// state in `a`; relaunch ping-pongs through `b`).
 template <typename T>
 [[nodiscard]] BandProgram<T> iteration_program(const char* engine, T* a, T* b, T* aux,
-                                               int sweeps, int t, bool has_post) {
+                                               int sweeps, int t) {
   BandProgram<T> prog;
   prog.engine = engine;
   prog.src = a;
@@ -689,7 +670,6 @@ template <typename T>
   prog.relay = {b, a};
   prog.sweeps = sweeps;
   prog.t = t;
-  prog.fuse_ends = !has_post;
   return prog;
 }
 
@@ -716,8 +696,9 @@ template <typename T>
 /// relaunch fallback. The optional `post` hook
 /// `post(GridView2D<T> next, GridView2D<const T> cur, GridView2D<T> aux)`
 /// runs element-wise over each band right after its sweep (requires
-/// opt.t == 1); `aux` is an optional second field kept resident with the
-/// tile. Outputs are bit-identical to the per-step relaunch path.
+/// opt.t == 1); `aux` is an optional second field, which the hook updates in
+/// place over the band's rows. Outputs are bit-identical to the per-step
+/// relaunch path.
 template <typename T, typename PostFn = detail::NoPost>
 PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2D<T>& a,
                                                 Grid2D<T>& b, const StencilShape<T>& shape,
@@ -739,7 +720,7 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
   const Index w = a.width();
   detail::BandProgram<T> prog =
       detail::iteration_program("iterate_stencil2d", a.data(), b.data(),
-                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t, kHasPost);
+                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t);
   prog.units = a.height();
   prog.unit_elems = w;
   prog.ht = static_cast<Index>(-opt.t * plan.dy_min);
@@ -794,7 +775,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
   if (persistent) SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
   detail::BandProgram<T> prog =
       detail::iteration_program("iterate_stencil3d", a.data(), b.data(),
-                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t, kHasPost);
+                                aux != nullptr ? aux->data() : nullptr, sweeps, opt.t);
   prog.units = a.nz();
   prog.unit_elems = nx * ny;
   prog.ht = hz;

@@ -110,14 +110,4 @@ struct RunResult {
   [[nodiscard]] double ms() const { return estimate.total_ms; }
 };
 
-/// Runs a kernel in timing mode and estimates its runtime.
-template <typename Launcher>
-RunResult time_kernel(const sim::ArchSpec& arch, Launcher&& launcher,
-                      SampleSpec sample = {}) {
-  RunResult r;
-  r.stats = launcher(ExecMode::kTiming, sample);
-  r.estimate = sim::estimate_runtime(arch, r.stats);
-  return r;
-}
-
 }  // namespace ssam::core

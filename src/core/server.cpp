@@ -77,8 +77,7 @@ SimServer::SimServer(ServerOptions opt)
       // Qualified: plain `config()` here would name the SimServer::config
       // accessor of this not-yet-constructed object.
       config_(::ssam::core::config()),
-      arch_(opt.arch != nullptr ? opt.arch : &sim::tesla_v100()),
-      completion_seq_(std::make_shared<std::atomic<std::uint64_t>>(0)) {
+      arch_(opt.arch != nullptr ? opt.arch : &sim::tesla_v100()) {
   SSAM_REQUIRE(opt_.max_in_flight_per_device >= 1, "device job slots must be positive");
   SSAM_REQUIRE(opt_.max_attempts >= 1, "a job needs at least one attempt");
   SSAM_REQUIRE(opt_.quarantine_after >= 1, "quarantine threshold must be positive");
@@ -92,6 +91,7 @@ SimServer::SimServer(ServerOptions opt)
     group_ = &sim::DeviceGroup::shared(n);
   }
   opt_.devices = n;
+  stats_.devices = n;
   in_flight_.assign(static_cast<std::size_t>(n), 0);
   health_.assign(static_cast<std::size_t>(n), Health{});
   probe_rigs_.resize(static_cast<std::size_t>(n));
@@ -146,9 +146,9 @@ JobFuture SimServer::submit(SimJob job) {
   const double units = model_units(job, perf::from_arch(*arch_));
   {
     std::lock_guard<std::mutex> lock(m_);
-    ++submitted_;
+    ++stats_.submitted;
     if (queued_ >= opt_.max_pending) {
-      ++rejected_;
+      ++stats_.rejected;
       reject = true;
       reject_err = JobError{ErrorCode::kQueueFull, false,
                             "admission control: pending queue full"};
@@ -163,8 +163,8 @@ JobFuture SimServer::submit(SimJob job) {
                                : ewma_ms_per_unit_;
       const double predicted = scale * units;
       if (scale > 0.0 && predicted > job.deadline_ms) {
-        ++rejected_;
-        ++shed_;
+        ++stats_.rejected;
+        ++stats_.shed;
         reject = true;
         reject_err =
             JobError{ErrorCode::kDeadlineUnmeetable, false,
@@ -221,20 +221,7 @@ void SimServer::set_tenant_weight(int tenant, double weight) {
 
 SimServer::Stats SimServer::stats() const {
   std::lock_guard<std::mutex> lock(m_);
-  Stats s;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  s.rejected = rejected_;
-  s.shed = shed_;
-  s.failed = failed_;
-  s.cancelled = cancelled_;
-  s.retries = retries_;
-  s.faulted_attempts = faulted_attempts_;
-  s.quarantines = quarantines_;
-  s.probes = probes_;
-  s.reinstated = reinstated_;
-  s.devices = opt_.devices;
-  return s;
+  return stats_;
 }
 
 SimServer::DeviceHealth SimServer::device_health(int device) const {
@@ -343,8 +330,8 @@ void SimServer::pump_locked(std::unique_lock<std::mutex>& lock) {
         r.attempts = p.attempts;
         r.attempt_errors = std::move(p.attempt_errors);
         r.queue_ms = ms_between(p.submitted_at, Clock::now());
-        r.seq = completion_seq_->fetch_add(1, std::memory_order_relaxed) + 1;
-        ++cancelled_;
+        r.seq = ++completion_seq_;
+        ++stats_.cancelled;
         p.state->fulfill(std::move(r));
         continue;
       }
@@ -443,7 +430,7 @@ void SimServer::run_attempt(Pending& p, int device) {
           ewma_ms_per_unit_ <= 0.0 ? sample : 0.8 * ewma_ms_per_unit_ + 0.2 * sample;
     }
   } else if (err.code == ErrorCode::kFaultInjected) {
-    ++faulted_attempts_;
+    ++stats_.faulted_attempts;
     ++h.faults;
     ++h.consecutive_faults;
     if (!h.quarantined && h.consecutive_faults >= opt_.quarantine_after) {
@@ -453,7 +440,7 @@ void SimServer::run_attempt(Pending& p, int device) {
       for (const Health& other : health_) healthy += other.quarantined ? 0 : 1;
       if (healthy > 1) {
         h.quarantined = true;
-        ++quarantines_;
+        ++stats_.quarantines;
         ++h.quarantines;
         h.next_probe = Clock::now() + ms_duration(opt_.probe_interval_ms);
         log_warn_limited(warn_quarantine_,
@@ -471,7 +458,7 @@ void SimServer::run_attempt(Pending& p, int device) {
                                       opt_.retry_backoff_max_ms);
       p.retry_at = Clock::now() + ms_duration(backoff);
       ++queued_;
-      ++retries_;
+      ++stats_.retries;
       retry_q_.push_back(std::move(p));
       requeued = true;
     }
@@ -484,19 +471,19 @@ void SimServer::run_attempt(Pending& p, int device) {
     r.attempts = p.attempts;
     if (!completed) p.attempt_errors.push_back(err);
     r.attempt_errors = std::move(p.attempt_errors);
-    r.seq = completion_seq_->fetch_add(1, std::memory_order_relaxed) + 1;
-    ++completed_;
+    r.seq = ++completion_seq_;
+    ++stats_.completed;
     if (completed) {
       r.status = JobStatus::kCompleted;
       r.run = run;
     } else if (cancelled) {
       r.status = JobStatus::kCancelled;
       r.error = err;
-      ++cancelled_;
+      ++stats_.cancelled;
     } else {
       r.status = JobStatus::kFailed;
       r.error = err;
-      ++failed_;
+      ++stats_.failed;
     }
     p.state->fulfill(std::move(r));
   }
@@ -529,10 +516,10 @@ void SimServer::watchdog_main() {
       r.attempt_errors = std::move(p.attempt_errors);
       r.queue_ms = ms_between(p.submitted_at, now);
       r.exec_ms = p.exec_ms;
-      r.seq = completion_seq_->fetch_add(1, std::memory_order_relaxed) + 1;
+      r.seq = ++completion_seq_;
       p.state->fulfill(std::move(r));
       --queued_;
-      ++cancelled_;
+      ++stats_.cancelled;
       ++expired;
     };
     for (auto& [id, t] : tenants_) {
@@ -574,7 +561,7 @@ void SimServer::watchdog_main() {
       if (h.quarantined && !h.probe_in_flight && now >= h.next_probe) {
         h.probe_in_flight = true;
         ++probes_active_;
-        ++probes_;
+        ++stats_.probes;
         ++h.probes;
         to_probe.push_back(i);
       }
@@ -624,7 +611,7 @@ void SimServer::launch_probe(int device) {
       if (h.quarantined) {
         h.quarantined = false;
         h.consecutive_faults = 0;
-        ++reinstated_;
+        ++stats_.reinstated;
         log_warn_limited(warn_quarantine_,
                          "server: device " + std::to_string(device) +
                              " passed its probe, reinstated");

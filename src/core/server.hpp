@@ -61,7 +61,6 @@
 // the server tests pin with golden hashes).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -234,18 +233,8 @@ class SimServer {
   std::vector<std::unique_ptr<ProbeRig>> probe_rigs_;
   int probes_active_ = 0;
   double ewma_ms_per_unit_ = 0.0;         // learned shed calibration
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t faulted_attempts_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t probes_ = 0;
-  std::uint64_t reinstated_ = 0;
-  std::shared_ptr<std::atomic<std::uint64_t>> completion_seq_;
+  Stats stats_;
+  std::uint64_t completion_seq_ = 0;      // JobResult::seq of the last fulfilled job
 
   // Watchdog thread: deadline cancels, retry release, quarantine probes.
   // Started in the constructor, joined (after a first drain) in the

@@ -3,16 +3,18 @@
 // The band engine (core/iterate_persistent.hpp) decomposes a grid into
 // resident band tiles on ONE worker pool. This layer adds the level above:
 // a `ShardPolicy` splits the same band axis (rows in 2D, z-planes in 3D)
-// into contiguous *shards*, places each shard on its own virtual device
-// (gpusim/device.hpp — a pool slice with its own workspace arena and
-// counters), and wires the two tiles that meet at a shard seam with a
-// *peer* halo channel from the device group. Peer channels are the
-// identical epoch-counted SPSC machinery used inside a shard, configured
-// zero-copy: a boundary published on device d is written directly into the
-// halo region of the neighbouring tile's residence buffer on device d+1,
-// so inter-device exchange costs one memcpy and two atomic counters — no
-// global-array round trip, no staging copy. Sharding places persistent
-// tiles only; a relaunch run ignores the policy and executes on one pool.
+// into contiguous *shards* and runs each shard's tiles on its own virtual
+// device (gpusim/device.hpp — a pool slice with its own counters). Memory
+// does not follow the shards: every tile's residence buffers and every
+// tile-to-tile channel come from the run's own PersistentWorkspace, so the
+// two tiles that meet at a shard seam are wired exactly like neighbours
+// inside a shard — a boundary published on device d is written directly
+// into the halo region of the neighbouring tile's residence buffer on
+// device d+1 for one memcpy and two atomic counters, with no global-array
+// round trip. Nothing a run touches is shared with another run on the same
+// device group, so concurrent sharded runs cannot see each other's state.
+// Sharding places persistent tiles only; a relaunch run ignores the policy
+// and executes on one pool.
 //
 // Sharding never changes results: every tile still computes the same band
 // rows from the same halo state, so sharded runs are bit-identical to
@@ -97,23 +99,21 @@ struct BandLayoutRequest {
   Index align = 1;            ///< preferred band multiple (p or valid planes)
   Index min_band = 1;         ///< smallest band that can source a halo
   int want_tiles = 0;         ///< total tile target; 0 = auto per shard
-  bool has_aux = false;       ///< carve an aux residence buffer per tile
   /// Single mode: workers of the pool the run executes on, when it is not
   /// the global pool (a device-pinned server job). 0 = global pool size.
   int lane_workers = 0;
 };
 
-/// The assembled layout: tile starts, per-tile residence buffers carved
-/// from the owning device's arena (or the single workspace), and the
-/// channel pool — seam channels included, wired zero-copy into the
-/// neighbouring tile's buffers exactly like intra-shard channels.
+/// The assembled layout: tile starts, per-tile residence buffers and the
+/// channels between neighbouring tiles — seam channels included, wired
+/// zero-copy into the neighbouring tile's buffers exactly like intra-shard
+/// channels. Buffers and channels belong to the run's workspace.
 struct BandLayout {
   std::vector<Index> starts;              ///< tile starts + end sentinel
   std::vector<int> device_of;             ///< owning shard per tile
   std::vector<std::pair<int, int>> tile_range;  ///< per shard: [begin, end) tiles
   std::vector<std::byte*> buf_a;
   std::vector<std::byte*> buf_b;
-  std::vector<std::byte*> aux;
   std::span<sim::HaloChannel> chans;      ///< 2 * (tiles - 1)
   std::vector<sim::Device*> devices;      ///< empty in single mode
 
@@ -132,10 +132,8 @@ struct BandLayout {
 };
 
 /// Splits the domain into shards and tiles, carves every tile's residence
-/// buffers (single mode: from `ws`; sharded: from each owning device's
-/// workspace arena), and wires all tile-to-tile channels (intra-shard from
-/// the same pool as seams — the group's peer channels — so the engine
-/// treats every edge uniformly).
+/// buffers from `ws`, and wires all tile-to-tile channels from `ws`, so the
+/// engine treats seam and intra-shard edges uniformly.
 [[nodiscard]] inline BandLayout build_band_layout(const BandLayoutRequest& req,
                                                   const ShardPolicy& shard,
                                                   sim::PersistentWorkspace& ws) {
@@ -150,10 +148,10 @@ struct BandLayout {
   // degrades to fewer (possibly one) shards instead of empty devices.
   BandLayout L;
   std::vector<Index> shard_starts{0, req.units};
-  sim::DeviceGroup* group = nullptr;
   if (shard.mode == ShardMode::kSharded) {
     const int want = shard.devices > 0 ? shard.devices : sim::default_device_count();
-    group = shard.group != nullptr ? shard.group : &sim::DeviceGroup::shared(want);
+    sim::DeviceGroup* group =
+        shard.group != nullptr ? shard.group : &sim::DeviceGroup::shared(want);
     const int avail = std::min(want, group->size());
     shard_starts = partition_bands(req.units, avail, req.align, req.min_band);
     for (std::size_t d = 0; d + 1 < shard_starts.size(); ++d) {
@@ -184,54 +182,30 @@ struct BandLayout {
   L.starts.push_back(req.units);
   const int tiles = L.tiles();
 
-  // Carve residence buffers: one arena call per owning workspace (arena
-  // calls invalidate earlier pointers from the same workspace).
+  // Carve every tile's ping/pong residence buffers with one arena call
+  // (arena calls invalidate earlier pointers from the same workspace).
+  auto step_of = [&](int i) {  // one residence buffer plus its skew
+    const Index band = L.starts[static_cast<std::size_t>(i) + 1] -
+                       L.starts[static_cast<std::size_t>(i)];
+    return static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes + skew_bytes;
+  };
+  std::size_t total = skew_bytes;  // tail guard
+  for (int i = 0; i < tiles; ++i) total += 2 * step_of(i);
+  std::byte* p = ws.arena(total);
   L.buf_a.resize(static_cast<std::size_t>(tiles));
   L.buf_b.resize(static_cast<std::size_t>(tiles));
-  L.aux.resize(static_cast<std::size_t>(tiles), nullptr);
-  auto range_bytes = [&](int tb, int te) {
-    std::size_t total = skew_bytes;  // tail guard
-    for (int i = tb; i < te; ++i) {
-      const Index band = L.starts[static_cast<std::size_t>(i) + 1] -
-                         L.starts[static_cast<std::size_t>(i)];
-      total += 2 * (static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes +
-                    skew_bytes);
-      if (req.has_aux) total += static_cast<std::size_t>(band) * unit_bytes + skew_bytes;
-    }
-    return total;
-  };
-  auto carve_range = [&](std::byte* p, int tb, int te) {
-    for (int i = tb; i < te; ++i) {
-      const Index band = L.starts[static_cast<std::size_t>(i) + 1] -
-                         L.starts[static_cast<std::size_t>(i)];
-      const std::size_t step =
-          static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes + skew_bytes;
-      L.buf_a[static_cast<std::size_t>(i)] = p;
-      p += step;
-      L.buf_b[static_cast<std::size_t>(i)] = p;
-      p += step;
-      if (req.has_aux) {
-        L.aux[static_cast<std::size_t>(i)] = p;
-        p += static_cast<std::size_t>(band) * unit_bytes + skew_bytes;
-      }
-    }
-  };
-  if (L.devices.empty()) {
-    carve_range(ws.arena(range_bytes(0, tiles)), 0, tiles);
-  } else {
-    for (int s = 0; s < shards; ++s) {
-      const auto [tb, te] = L.tile_range[static_cast<std::size_t>(s)];
-      carve_range(L.devices[static_cast<std::size_t>(s)]->workspace().arena(
-                      range_bytes(tb, te)),
-                  tb, te);
-    }
+  for (int i = 0; i < tiles; ++i) {
+    L.buf_a[static_cast<std::size_t>(i)] = p;
+    p += step_of(i);
+    L.buf_b[static_cast<std::size_t>(i)] = p;
+    p += step_of(i);
   }
 
   // Channel wiring, uniform across intra-shard and seam edges.
   // Channel 2e   (down, tile e -> e+1): writes tile e+1's upper halo.
   // Channel 2e+1 (up, tile e+1 -> e): writes tile e's lower halo units.
   const std::size_t n_chans = tiles > 1 ? static_cast<std::size_t>(2 * (tiles - 1)) : 0;
-  L.chans = group != nullptr ? group->peer_channels(n_chans) : ws.channels(n_chans);
+  L.chans = ws.channels(n_chans);
   for (int e = 0; e + 1 < tiles; ++e) {
     const Index band_e = L.starts[static_cast<std::size_t>(e) + 1] -
                          L.starts[static_cast<std::size_t>(e)];

@@ -136,13 +136,4 @@ template <typename T>
   return s;
 }
 
-/// The classic 2D 5-point diffusion stencil with the paper's Section 2.2
-/// naming (West/North/Current/South/East) and diffusion-like coefficients.
-template <typename T>
-[[nodiscard]] StencilShape<T> diffusion2d() {
-  StencilShape<T> s = star2d<T>(1);
-  s.name = "2d5pt-diffusion";
-  return s;
-}
-
 }  // namespace ssam::core

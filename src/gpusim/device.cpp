@@ -51,14 +51,6 @@ DeviceGroup::DeviceGroup(std::vector<DeviceOptions> devices) {
   }
 }
 
-std::span<HaloChannel> DeviceGroup::peer_channels(std::size_t count) {
-  if (peer_channels_.size() < count) {
-    // HaloChannel holds atomics (not movable); rebuild at the larger count.
-    peer_channels_ = std::vector<HaloChannel>(count);
-  }
-  return {peer_channels_.data(), count};
-}
-
 std::vector<DeviceOptions> DeviceGroup::even_slices(int n) {
   SSAM_REQUIRE(n >= 1, "device count must be positive");
   const int host = hardware_concurrency();
@@ -129,6 +121,13 @@ void run_persistent_group(std::span<Device* const> devices,
                           const std::atomic<bool>* stop) {
   SSAM_REQUIRE(devices.size() == groups.size(),
                "one task group per device required");
+  // A multi-device run holds workers on every device while its shards wait
+  // on each other's seams. Two such runs admitted together can each hold
+  // one device's workers while waiting for the other's, a cycle no
+  // scheduler breaks, so multi-device runs are admitted one at a time.
+  // Single-device work (server jobs) never waits on another pool.
+  static std::mutex admission_m;
+  std::lock_guard<std::mutex> admitted(admission_m);
   for_each_device(devices, [&](int i) {
     const auto g = groups[static_cast<std::size_t>(i)];
     if (g.empty()) return;

@@ -8,21 +8,18 @@
 //
 //  * a ThreadPool slice (its own worker threads, optionally pinned to a
 //    disjoint core range so shards never migrate across each other),
-//  * a workspace arena for its shard's residence buffers, plus a warm pool
-//    of leased arenas for the job server's concurrent jobs,
+//  * a warm pool of leased workspace arenas for the job server's
+//    concurrent jobs,
 //  * traffic counters (band sweeps, halo bytes, seam crossings, jobs).
 //
 // The job server (core/server.hpp) runs each job attempt as one task on
 // the device's pool, so work routed to one device never occupies another
 // device's slice.
 //
-// A `DeviceGroup` holds N such devices plus the *peer channels* between
-// them: the same epoch-counted SPSC HaloChannels the persistent engine uses
-// inside a shard, configured in zero-copy external mode so a boundary
-// published on device d lands directly in the halo region of the
-// neighbouring tile's residence buffer on device d+1 — no global-array
-// round trip, exactly like a peer-to-peer copy over NVLink. The domain
-// partitioner that wires shards onto a group lives in core/shard.hpp.
+// A `DeviceGroup` holds N such devices. It owns no memory for the runs it
+// hosts: a run sharded across the group (core/shard.hpp) carves its
+// residence buffers and the halo channels between its shards from the
+// run's own workspace, so several runs can share one group at once.
 #pragma once
 
 #include <atomic>
@@ -119,13 +116,11 @@ class Device {
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] ThreadPool& pool() { return *pool_; }
-  [[nodiscard]] PersistentWorkspace& workspace() { return workspace_; }
   [[nodiscard]] DeviceCounters& counters() { return counters_; }
 
   /// Borrows a workspace arena from the device's warm pool, creating one
-  /// only when the pool is empty. Unlike `workspace()` (the device's single
-  /// shard-residence arena), leased workspaces let several jobs share one
-  /// device without clobbering each other's carves.
+  /// only when the pool is empty. Each lease is a whole workspace, so
+  /// several jobs share one device without clobbering each other's carves.
   [[nodiscard]] WorkspaceLease lease_workspace();
 
   /// Arenas created over the device's lifetime — a steady job stream should
@@ -141,26 +136,19 @@ class Device {
   int index_;
   std::string name_;
   std::unique_ptr<ThreadPool> pool_;
-  PersistentWorkspace workspace_;
   DeviceCounters counters_;
   std::atomic<std::uint64_t> workspaces_created_{0};
   std::mutex spares_m_;
   std::vector<std::unique_ptr<PersistentWorkspace>> spare_workspaces_;
 };
 
-/// N devices plus the peer-channel pool between them.
+/// N devices, sliced from one host.
 class DeviceGroup {
  public:
   explicit DeviceGroup(std::vector<DeviceOptions> devices);
 
   [[nodiscard]] int size() const { return static_cast<int>(devices_.size()); }
   [[nodiscard]] Device& device(int i) { return *devices_[static_cast<std::size_t>(i)]; }
-
-  /// `count` channels for the sharding layer to configure as seam and
-  /// intra-shard links. Like PersistentWorkspace::channels: grow-only, one
-  /// run at a time per group (a larger request rebuilds, invalidating
-  /// earlier spans).
-  [[nodiscard]] std::span<HaloChannel> peer_channels(std::size_t count);
 
   /// Even slicing of the host: `n` devices with max(1, host/n) workers
   /// each. When the SSAM_DEVICE_PIN environment variable is `1`, device
@@ -176,7 +164,6 @@ class DeviceGroup {
 
  private:
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<HaloChannel> peer_channels_;
 };
 
 /// Device count of ShardPolicy::sharded(0) ("auto"): the SSAM_DEVICES
@@ -198,7 +185,9 @@ void for_each_device(std::span<Device* const> devices,
 /// advanceable, so the wavefront drains in any schedule. The shared `stop`
 /// flag (see run_persistent_on) aborts every shard's scheduler together —
 /// necessary because a stopped shard's seam channels go silent and its
-/// neighbours would otherwise spin forever.
+/// neighbours would otherwise spin forever. Calls are admitted one at a
+/// time process-wide: two groups running at once could each hold one
+/// device's workers while waiting for the other's.
 void run_persistent_group(std::span<Device* const> devices,
                           std::span<const std::span<PersistentTask* const>> groups,
                           const std::atomic<bool>* stop = nullptr);

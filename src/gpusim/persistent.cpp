@@ -12,21 +12,12 @@ void HaloChannel::configure_external(std::byte* dst_even, std::byte* dst_odd) {
   released_.store(-1, std::memory_order_relaxed);
 }
 
-std::byte* PersistentWorkspace::aligned_block(std::vector<std::byte>& block,
-                                              std::size_t bytes) {
-  constexpr std::size_t kAlign = 64;
-  if (block.size() < bytes + kAlign) block.resize(bytes + kAlign);
-  auto addr = reinterpret_cast<std::uintptr_t>(block.data());
-  const std::size_t pad = (kAlign - addr % kAlign) % kAlign;
-  return block.data() + pad;
-}
-
 std::byte* PersistentWorkspace::arena(std::size_t bytes) {
-  return aligned_block(arena_, bytes);
-}
-
-std::byte* PersistentWorkspace::scratch(std::size_t bytes) {
-  return aligned_block(scratch_, bytes);
+  constexpr std::size_t kAlign = 64;
+  if (arena_.size() < bytes + kAlign) arena_.resize(bytes + kAlign);
+  auto addr = reinterpret_cast<std::uintptr_t>(arena_.data());
+  const std::size_t pad = (kAlign - addr % kAlign) % kAlign;
+  return arena_.data() + pad;
 }
 
 std::span<HaloChannel> PersistentWorkspace::channels(std::size_t count) {

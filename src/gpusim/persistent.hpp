@@ -14,7 +14,7 @@
 // s+1 as soon as *its* neighbours have published their step-s boundary —
 // no global barrier, so tiles pipeline along the dependency wavefront.
 //
-// Three pieces live here; the stencil-specific tile state machines are in
+// Four pieces live here; the stencil-specific tile state machines are in
 // core/iterate_persistent.hpp:
 //  * HaloChannel — an epoch-indexed SPSC handoff of boundary data into the
 //    consumer's two residence buffers, with acquire/release publication.
@@ -25,6 +25,8 @@
 //    a fully blocked participant claims more tiles, so the run completes
 //    with ANY number of participating threads (deadlock-free at pool
 //    size 1 by construction).
+//  * PersistentWorkspace — the one place a band run's memory comes from:
+//    an arena for its buffers and a pool of its channels.
 #pragma once
 
 #include <atomic>
@@ -148,8 +150,10 @@ void run_persistent(std::span<PersistentTask* const> tasks);
 void run_persistent_on(ThreadPool& pool, std::span<PersistentTask* const> tasks,
                        const std::atomic<bool>* stop = nullptr);
 
-/// Reusable storage for a persistent run: a grow-only 64-byte-aligned
-/// arena for tile residency buffers plus a pool of halo channels. Repeated
+/// Reusable storage for one band run: a grow-only 64-byte-aligned arena
+/// plus a pool of halo channels. A persistent run carves its tiles'
+/// residence buffers from the arena and wires its channels from the pool;
+/// a relaunch run carves its two relay arrays from the same arena. Repeated
 /// runs of the same problem (benchmark reps, iterative solvers called in a
 /// loop) reuse the same allocations instead of churning the allocator.
 /// Not thread-safe: one workspace serves one run at a time (the engine's
@@ -165,19 +169,8 @@ class PersistentWorkspace {
   /// `count` channels for the caller to configure.
   [[nodiscard]] std::span<HaloChannel> channels(std::size_t count);
 
-  /// Second grow-only 64-byte-aligned block, independent of `arena`. The
-  /// staged chain path (core/chain.hpp) ping-pongs its inter-stage
-  /// intermediates through this block, so a staged reference run and a
-  /// fused run can share one warm workspace without invalidating each
-  /// other's carvings. Same contract as `arena`: one call per run.
-  [[nodiscard]] std::byte* scratch(std::size_t bytes);
-
  private:
-  [[nodiscard]] static std::byte* aligned_block(std::vector<std::byte>& block,
-                                                std::size_t bytes);
-
   std::vector<std::byte> arena_;
-  std::vector<std::byte> scratch_;
   std::vector<HaloChannel> channels_;
 };
 

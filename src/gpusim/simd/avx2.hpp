@@ -112,8 +112,6 @@ inline void butterfly32(void* d, const void* a, int lane_mask) {
 
 template <>
 struct LaneOps<float> : RefOps<float> {
-  static constexpr bool kVectorized = true;
-
   static void splat(float* d, float v) {
     const __m256 s = _mm256_set1_ps(v);
     for (int c = 0; c < 4; ++c) _mm256_storeu_ps(d + 8 * c, s);
@@ -233,7 +231,6 @@ struct LaneOps<float> : RefOps<float> {
 
 template <>
 struct LaneOps<std::int32_t> : RefOps<std::int32_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int32_t;
 
   static void splat(T* d, T v) {
@@ -396,7 +393,6 @@ struct LaneOps<std::int32_t> : RefOps<std::int32_t> {
 /// which are 4-byte).
 template <>
 struct LaneOps<std::int64_t> : RefOps<std::int64_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int64_t;
 
   [[nodiscard]] static __m256i ramp4(int q) {  // lanes 4q .. 4q+3

@@ -213,8 +213,6 @@ struct MemOps : RefOps<T> {
 
 template <>
 struct LaneOps<float> : avx512::MemOps<float> {
-  static constexpr bool kVectorized = true;
-
   static void splat(float* d, float v) {
     const __m512 s = _mm512_set1_ps(v);
     _mm512_storeu_ps(d, s);
@@ -321,7 +319,6 @@ struct LaneOps<float> : avx512::MemOps<float> {
 
 template <>
 struct LaneOps<std::int32_t> : avx512::MemOps<std::int32_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int32_t;
 
   static void splat(T* d, T v) {
@@ -462,7 +459,6 @@ struct LaneOps<std::int32_t> : avx512::MemOps<std::int32_t> {
 /// affine, clamp, bounds compares, and the coalescing unit-stride test.
 template <>
 struct LaneOps<std::int64_t> : RefOps<std::int64_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int64_t;
 
   [[nodiscard]] static __m512i ramp8(int q) {  // lanes 8q .. 8q+7

@@ -26,8 +26,6 @@ namespace ssam::sim::simd {
 
 template <>
 struct LaneOps<float> : RefOps<float> {
-  static constexpr bool kVectorized = true;
-
   static void splat(float* d, float v) {
     const float32x4_t s = vdupq_n_f32(v);
     for (int c = 0; c < 8; ++c) vst1q_f32(d + 4 * c, s);
@@ -124,7 +122,6 @@ struct LaneOps<float> : RefOps<float> {
 
 template <>
 struct LaneOps<std::int32_t> : RefOps<std::int32_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int32_t;
 
   static void splat(T* d, T v) {

@@ -252,8 +252,6 @@ inline void scatter_if(T* base, const I* idx, const T* v, const int* active) {
 /// any element type or operation a backend does not cover falls back here.
 template <typename T>
 struct RefOps {
-  static constexpr bool kVectorized = false;
-
   static void splat(T* d, T v) { ref::splat(d, v); }
   static void iota(T* d, T base, T step) { ref::iota(d, base, step); }
   static void add(T* d, const T* a, const T* b) { ref::add(d, a, b); }

@@ -41,8 +41,6 @@ namespace sse2 {
 
 template <>
 struct LaneOps<float> : RefOps<float> {
-  static constexpr bool kVectorized = true;
-
   static void splat(float* d, float v) {
     const __m128 s = _mm_set1_ps(v);
     for (int c = 0; c < 8; ++c) _mm_storeu_ps(d + 4 * c, s);
@@ -142,7 +140,6 @@ struct LaneOps<float> : RefOps<float> {
 
 template <>
 struct LaneOps<std::int32_t> : RefOps<std::int32_t> {
-  static constexpr bool kVectorized = true;
   using T = std::int32_t;
 
   [[nodiscard]] static __m128i load4(const T* p, int c) {

@@ -69,9 +69,6 @@ class RegisterCache {
     }
   }
 
-  /// Registers this cache costs per thread (for occupancy estimation).
-  [[nodiscard]] int registers_per_thread() const { return capacity(); }
-
  private:
   sim::WarpContextT<M>* warp_;
   InlineVec<Reg<T>, kMaxRegCacheRows> rows_;

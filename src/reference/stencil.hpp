@@ -58,13 +58,4 @@ void iterate2d(Grid2D<T>& a, Grid2D<T>& b, const std::vector<Tap<T>>& taps, int 
   }
 }
 
-template <typename T>
-void iterate3d(Grid3D<T>& a, Grid3D<T>& b, const std::vector<Tap<T>>& taps, int steps,
-               Border border = Border::kClamp) {
-  for (int s = 0; s < steps; ++s) {
-    stencil3d<T>(a.cview(), taps, b.view(), border);
-    std::swap(a, b);
-  }
-}
-
 }  // namespace ssam::ref

@@ -244,7 +244,7 @@ TEST(PersistentPolicy, RelaunchFallbackAndAutoReporting) {
 
 TEST(PersistentPostHook, WaveUpdateMatchesRelaunchFallback) {
   // Two-field wave-equation update: lap -> p_next = 2p - p_prev + c2*lap,
-  // with p_prev resident alongside the tile. The persistent path must match
+  // with p_prev updated in place by each tile. The persistent path must match
   // the relaunch fallback (same engine, per-step launches) bit for bit.
   core::StencilShape<float> lap;
   lap.name = "2d5pt-laplacian";
@@ -268,28 +268,32 @@ TEST(PersistentPostHook, WaveUpdateMatchesRelaunchFallback) {
     }
   };
 
-  Grid2D<float> p1(n, n, 0.0f), s1(n, n), prev1(n, n, 0.0f);
-  p1.at(n / 2, n / 2) = 1.0f;
-  prev1.at(n / 2, n / 2) = 0.9f;
-  Grid2D<float> p2 = p1, s2 = s1, prev2 = prev1;
+  // 1 and 2 sweeps stage the load (an in-place fused first sweep needs 3);
+  // 3 and 12 fuse both ends.
+  for (const int sweeps : {1, 2, 3, 12}) {
+    Grid2D<float> p1(n, n, 0.0f), s1(n, n), prev1(n, n, 0.0f);
+    p1.at(n / 2, n / 2) = 1.0f;
+    prev1.at(n / 2, n / 2) = 0.9f;
+    Grid2D<float> p2 = p1, s2 = s1, prev2 = prev1;
 
-  core::PersistentOptions relaunch;
-  relaunch.policy = core::IterationPolicy::kRelaunch;
-  core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), p1, s1, lap, 12, relaunch,
-                                            post, &prev1);
-  core::PersistentOptions persistent;
-  persistent.policy = core::IterationPolicy::kPersistent;
-  persistent.tiles = 5;
-  core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), p2, s2, lap, 12, persistent,
-                                            post, &prev2);
-  const std::size_t bytes = static_cast<std::size_t>(p1.size()) * sizeof(float);
-  EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), bytes));
-  EXPECT_EQ(0, std::memcmp(prev1.data(), prev2.data(), bytes));
+    core::PersistentOptions relaunch;
+    relaunch.policy = core::IterationPolicy::kRelaunch;
+    core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), p1, s1, lap, sweeps,
+                                              relaunch, post, &prev1);
+    core::PersistentOptions persistent;
+    persistent.policy = core::IterationPolicy::kPersistent;
+    persistent.tiles = 5;
+    core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), p2, s2, lap, sweeps,
+                                              persistent, post, &prev2);
+    const std::size_t bytes = static_cast<std::size_t>(p1.size()) * sizeof(float);
+    EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), bytes)) << "sweeps=" << sweeps;
+    EXPECT_EQ(0, std::memcmp(prev1.data(), prev2.data(), bytes)) << "sweeps=" << sweeps;
+  }
 }
 
 TEST(PersistentPostHook, Wave3DMatchesExplicitStepLoop) {
   // The acoustic-wave shape in 3D: the persistent engine (lap sweep + post
-  // hook + resident p_prev) must match an explicit per-step loop (full
+  // hook + in-place p_prev) must match an explicit per-step loop (full
   // sweep, then element-wise update over the whole volume) bit for bit.
   core::StencilShape<float> laplace;
   laplace.dims = 3;

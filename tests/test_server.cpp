@@ -449,7 +449,6 @@ TEST(SimConfigTest, ResolvedConfigIsPrintable) {
   const std::string d = c.describe();
   EXPECT_NE(d.find("threads="), std::string::npos);
   EXPECT_NE(d.find("devices="), std::string::npos);
-  EXPECT_NE(d.find("policy="), std::string::npos);
   EXPECT_NE(d.find("simd="), std::string::npos);
   // The cached process config is the one the server reports.
   sim::DeviceGroup group({sim::DeviceOptions{1, {}, "cfg0"}});

@@ -15,7 +15,9 @@
 //    corrupts results; pool size 1 everywhere stays deadlock-free;
 //  * IterationPolicy x ShardPolicy: every combination agrees bit for bit,
 //    auto-selection is exercised and its decision logged deterministically;
-//  * per-device counters observe seam traffic.
+//  * per-device counters observe seam traffic;
+//  * two threads sharding runs across one shared group at once neither
+//    corrupt nor deadlock each other.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -335,6 +337,47 @@ TEST(PeerChannelProperty, PoolSizeOneEverywhereIsDeadlockFree) {
   ASSERT_TRUE(bits_equal(ra.data(), pa.data(), static_cast<std::size_t>(src.size())));
 }
 
+TEST(ShardedRuns, ConcurrentRunsOnSharedGroupMatchSingle) {
+  // Two threads shard runs across the same process-wide group at once,
+  // each with its own tile counts. Every run carves its buffers and
+  // channels from its own workspace, so neither can see the other's state,
+  // and multi-device runs are admitted one at a time, so neither can hold
+  // the device workers the other waits on. Each output must match the
+  // single-pool run bit for bit.
+  const core::StencilShape<float> shape = core::star2d<float>(1);
+  Grid2D<float> src(96, 160);
+  fill_random(src, 103);
+  const int sweeps = 16;
+  Grid2D<float> ra = src, rb(src.width(), src.height());
+  core::PersistentOptions single;
+  single.policy = core::IterationPolicy::kPersistent;
+  (void)core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), ra, rb, shape, sweeps,
+                                                  single);
+
+  const std::size_t bytes = static_cast<std::size_t>(src.size()) * sizeof(float);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> unsharded{0};
+  auto worker = [&](int tiles0) {
+    for (int run = 0; run < 50; ++run) {
+      core::PersistentOptions opt;
+      opt.policy = core::IterationPolicy::kPersistent;
+      opt.shard = core::ShardPolicy::sharded(2);
+      opt.tiles = tiles0 + run % 4;
+      Grid2D<float> a = src, b(src.width(), src.height());
+      const auto stats = core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), a, b,
+                                                                   shape, sweeps, opt);
+      if (stats.devices != 2) unsharded.fetch_add(1);
+      if (std::memcmp(a.data(), ra.data(), bytes) != 0) mismatches.fetch_add(1);
+    }
+  };
+  std::thread t1(worker, 2);
+  std::thread t2(worker, 6);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(unsharded.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ---------------------------------------------------- devices and counters
 
 TEST(DeviceTest, CountersObserveSeamTraffic) {
@@ -373,7 +416,7 @@ TEST(DeviceTest, SharedGroupsAreCachedAndReusable) {
   EXPECT_EQ(&g2, &sim::DeviceGroup::shared(2));
   EXPECT_EQ(g2.size(), 2);
 
-  // Back-to-back sharded runs on the cached group reuse its workspaces.
+  // Back-to-back sharded runs on the cached group stay bit-exact.
   const core::StencilShape<float> shape = core::star2d<float>(1);
   Grid2D<float> src(161, 143);
   fill_random(src, 97);
@@ -392,7 +435,7 @@ TEST(DeviceTest, SharedGroupsAreCachedAndReusable) {
 }
 
 TEST(DeviceTest, PostHookAndAuxFieldShardAcrossDevices) {
-  // The two-field wave update (post hook + resident aux) under sharding:
+  // The two-field wave update (post hook + in-place aux) under sharding:
   // both policies, 3 devices, must match the single relaunch path.
   core::StencilShape<float> lap;
   lap.dims = 2;
